@@ -40,12 +40,10 @@ type Engine struct {
 	weights     core.AxisWeights
 	thesaurus   *lingo.Thesaurus
 	names       *lingo.MatcherPool
-	labels      *lingo.ScoreCache
 	parallelism int
 
 	// Observability (DESIGN.md §"Observability"). The registry always
-	// exists — the label-cache gauges are pull-only and free at match
-	// time — but per-match collection, tracing and logging are opt-in via
+	// exists, but per-match collection, tracing and logging are opt-in via
 	// WithObserver/WithLogger; with all three off the match path reduces
 	// to one boolean check.
 	metrics *obs.Registry
@@ -68,34 +66,6 @@ type engineMetrics struct {
 	phaseDur  map[obs.Phase]*obs.Histogram
 }
 
-// CacheStats is a snapshot of the Engine's shared label-score cache: the
-// cross-match memo that scores each unique label pair once per Engine
-// lifetime. Hits+Misses counts lookups during kernel fills; Entries is the
-// resident pair count; Evictions counts entries dropped to honor the
-// WithLabelCacheSize bound.
-type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Entries   int64 `json:"entries"`
-	Evictions int64 `json:"evictions"`
-}
-
-// CacheStats returns the current label-score cache counters. Safe to call
-// concurrently with matching; the snapshot may lag in-flight fills.
-//
-// Deprecated: the cache counters now live in the Engine's metrics registry
-// under the qmatch_label_cache_* names — read them with MetricValue, or
-// scrape the whole registry with WriteMetrics / WriteMetricsJSON /
-// PublishExpvar. CacheStats remains as a thin view over those registry
-// entries.
-func (e *Engine) CacheStats() CacheStats {
-	hits, _ := e.metrics.Value(MetricCacheHits)
-	misses, _ := e.metrics.Value(MetricCacheMisses)
-	entries, _ := e.metrics.Value(MetricCacheEntries)
-	evictions, _ := e.metrics.Value(MetricCacheEvictions)
-	return CacheStats{Hits: hits, Misses: misses, Entries: entries, Evictions: evictions}
-}
-
 // NewEngine compiles the options into a reusable, goroutine-safe Engine.
 // It returns an error for option sets the matchers cannot interpret:
 // an unknown algorithm, weights with a negative component or all
@@ -114,7 +84,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		weights:     cfg.axisWeights(),
 		thesaurus:   th,
 		names:       lingo.NewMatcherPool(th),
-		labels:      lingo.NewScoreCache(cfg.labelCacheSize),
 		parallelism: cfg.parallelism,
 		metrics:     obs.NewRegistry(),
 		logger:      cfg.logger,
@@ -124,14 +93,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	if e.parallelism == 0 {
 		e.parallelism = runtime.GOMAXPROCS(0)
 	}
-	// The label-score cache counters are folded into the registry as
-	// pull-style gauges: evaluated only when the registry is read, so the
-	// cache hot path is untouched. CacheStats reads these same entries.
-	labels := e.labels
-	e.metrics.GaugeFunc(MetricCacheHits, func() int64 { return labels.Stats().Hits })
-	e.metrics.GaugeFunc(MetricCacheMisses, func() int64 { return labels.Stats().Misses })
-	e.metrics.GaugeFunc(MetricCacheEntries, func() int64 { return labels.Stats().Entries })
-	e.metrics.GaugeFunc(MetricCacheEvictions, func() int64 { return labels.Stats().Evictions })
 	if e.collect {
 		// Every pipeline phase gets a wall-time counter (aggregate share
 		// of time per phase) and a duration histogram (per-phase latency
@@ -142,7 +103,8 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		// count.
 		metered := []obs.Phase{
 			obs.PhaseMatch, obs.PhaseParse, obs.PhaseIntern, obs.PhasePairTable,
-			obs.PhaseSelect, obs.PhaseCompile, obs.PhasePrefilter, obs.PhaseRematch,
+			obs.PhaseCandidates, obs.PhaseSelect, obs.PhaseCompile, obs.PhasePrefilter,
+			obs.PhaseRematch,
 		}
 		e.em = engineMetrics{
 			matches:   e.metrics.Counter(MetricMatches),
@@ -176,8 +138,8 @@ func mustEngine(opts []Option) *Engine {
 // defaultEngine is the lazily-built default-configuration Engine behind
 // the package-level Match/QoM/MatchComplex/ExplainTop/Rank functions. It
 // is constructed on first use and shared for the process lifetime, so
-// repeated option-less calls reuse one warm thesaurus, matcher pool and
-// label-score cache instead of rebuilding them per call.
+// repeated option-less calls reuse one warm thesaurus and matcher pool
+// instead of rebuilding them per call.
 var defaultEngine = sync.OnceValue(func() *Engine {
 	return mustEngine(nil)
 })
@@ -240,10 +202,6 @@ func (e *Engine) hybrid(inner int) (*core.Hybrid, func()) {
 	h.Matcher.Names = e.names.Get()
 	h.Matcher.Weights = e.weights
 	h.Matcher.Parallelism = inner
-	h.Matcher.Precision = e.cfg.precision
-	// Every hybrid matcher of this Engine shares one label-score cache —
-	// sound because the Engine froze the thesaurus and tuning.
-	h.Matcher.Scores = e.labels
 	if e.cfg.childThreshold != nil {
 		h.Threshold = *e.cfg.childThreshold
 	}

@@ -183,6 +183,67 @@ func TestMatchAllEqualsSequentialMatch(t *testing.T) {
 	}
 }
 
+// One long-lived Engine shared by concurrent MatchAll grids must report
+// exactly what a fresh Engine reports, on the first pass and on the
+// repeat: nothing an earlier match leaves behind in the Engine's pools
+// may change a later report. Run under -race in CI.
+func TestEngineRepeatMatchBitIdentical(t *testing.T) {
+	var sources, targets []*qmatch.Schema
+	for _, p := range enginePairs() {
+		sources = append(sources, p[0])
+		targets = append(targets, p[1])
+	}
+	encode := func(r *qmatch.Report) string {
+		var b strings.Builder
+		if err := r.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	fresh, err := qmatch.NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]string, len(sources))
+	for i, s := range sources {
+		for _, tg := range targets {
+			want[i] = append(want[i], encode(fresh.Match(s, tg)))
+		}
+	}
+
+	shared, err := qmatch.NewEngine(qmatch.WithParallelism(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 1; pass <= 2; pass++ {
+		const grids = 2
+		got := make([][][]*qmatch.Report, grids)
+		errs := make([]error, grids)
+		var wg sync.WaitGroup
+		for g := 0; g < grids; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g], errs[g] = shared.MatchAll(context.Background(), sources, targets)
+			}()
+		}
+		wg.Wait()
+		for g := 0; g < grids; g++ {
+			if errs[g] != nil {
+				t.Fatal(errs[g])
+			}
+			for i := range sources {
+				for j := range targets {
+					if enc := encode(got[g][i][j]); enc != want[i][j] {
+						t.Errorf("pass %d grid %d cell (%d,%d): report differs from a fresh Engine's\ngot  %s\nwant %s",
+							pass, g, i, j, enc, want[i][j])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMatchAllCancellation(t *testing.T) {
 	eng, err := qmatch.NewEngine(qmatch.WithParallelism(2))
 	if err != nil {

@@ -102,6 +102,7 @@ func (h *Hybrid) tree(src, tgt *xmltree.Node) *Result {
 // Match implements match.Algorithm.
 func (h *Hybrid) Match(src, tgt *xmltree.Node) []match.Correspondence {
 	res := h.tree(src, tgt)
+	sp := h.Trace.StartSpan(obs.PhaseCandidates)
 	pairs := res.Pairs()
 	scored := make([]match.ScoredPair, 0, len(pairs))
 	for _, p := range pairs {
@@ -110,6 +111,9 @@ func (h *Hybrid) Match(src, tgt *xmltree.Node) []match.Correspondence {
 		}
 		scored = append(scored, match.ScoredPair{Source: p.Source, Target: p.Target, Score: p.QoM.Value})
 	}
+	sp.SetCells(int64(len(pairs)))
+	sp.SetSelected(len(scored))
+	sp.End()
 	return match.SelectTraced(scored, h.SelectionThreshold, h.Trace)
 }
 

@@ -10,34 +10,20 @@ import (
 // This file implements the vocabulary-interned similarity kernel. The
 // hybrid fill (Fig. 3) needs a label score and a property score for every
 // pair-table cell — n·m linguistic comparisons on the naive path, 867k on
-// the corpus' largest workload (231×3753 nodes). But schema vocabularies
-// are tiny compared to schema trees: labels and property sets repeat
-// heavily (the protein schemas reuse a few dozen element names thousands
-// of times). The kernel interns both vocabularies at match entry, scores
-// each unique (label, label) and (propset, propset) combination exactly
-// once into dense matrices, and turns the per-cell axis work of
-// treeWorker.pair into two array lookups. The linguistic cost of a match
-// drops from O(n·m) to O(|Lₛ|·|Lₜ|) (see DESIGN.md §5.9).
+// the corpus' largest workload (231×3753 nodes). The kernel interns both
+// vocabularies at match entry, scores each unique (label, label) and
+// (propset, propset) combination exactly once into dense matrices, and
+// turns the per-cell axis work of treeWorker.pair into two array lookups.
+// The linguistic cost of a match drops from O(n·m) to O(|Lₛ|·|Lₜ|) (see
+// DESIGN.md §5.9). How much that saves depends on the vocabulary: small
+// and synthetic schemas repeat labels heavily, but the protein schemas
+// intern to 231×3752 distinct labels (866,712 label pairs, nearly one per
+// cell), so there the kernel's win is the batch scorer's dense token
+// matrix — each label pair costs array arithmetic, not string work — not
+// deduplication.
 //
 // The matrices are stored structure-of-arrays (scores and kinds apart) in
-// a tile-blocked layout — see the blocked type — and the score plane is
-// float64 by default or float32 under PrecisionFloat32 (half the memory,
-// scores within float32 rounding of the default; DESIGN.md §5.10).
-
-// Precision selects the storage width of the kernel's score matrices.
-// The default PrecisionFloat64 stores scores exactly as computed, keeping
-// pair tables bit-identical to the unkerneled reference path.
-// PrecisionFloat32 halves the matrices' memory; scores read back within
-// float32 rounding (≤6e-8 for values in [0,1]), which the tolerance tests
-// pin and which preserves pair rank order in practice.
-type Precision uint8
-
-const (
-	// PrecisionFloat64 stores kernel scores at full width (default).
-	PrecisionFloat64 Precision = iota
-	// PrecisionFloat32 stores kernel scores at half width.
-	PrecisionFloat32
-)
+// a tile-blocked layout — see the blocked type.
 
 // Tile geometry of the blocked matrices: 8 rows × 256 columns = 2048
 // entries (16 KiB of float64 scores) per tile. Columns dominate because
@@ -131,34 +117,24 @@ func Intern(nodes []*xmltree.Node) *Interned {
 // children-axis sweep reads only scores, and kinds pack to one byte.
 type simKernel struct {
 	src, tgt *Interned
-	prec     Precision
 
-	lb           blocked // label-matrix layout (|Lₛ|×|Lₜ|)
-	labelScore64 []float64
-	labelScore32 []float32
-	labelKind    []uint8
+	lb         blocked // label-matrix layout (|Lₛ|×|Lₜ|)
+	labelScore []float64
+	labelKind  []uint8
 
-	pb          blocked // property-matrix layout (|Pₛ|×|Pₜ|)
-	propScore64 []float64
-	propScore32 []float32
-	propKind    []uint8
-}
-
-// newKernel interns the label and property vocabularies of both node lists
-// and allocates the (unfilled) score matrices.
-func newKernel(srcNodes, tgtNodes []*xmltree.Node, prec Precision) *simKernel {
-	return newKernelFrom(Intern(srcNodes), Intern(tgtNodes), prec, nil)
+	pb        blocked // property-matrix layout (|Pₛ|×|Pₜ|)
+	propScore []float64
+	propKind  []uint8
 }
 
 // newKernelFrom builds a kernel over pre-interned per-side vocabularies —
 // the entry point of the compiled-schema path, which skips the interning
 // walk entirely. The score matrices still must be filled per pair (they
-// depend on both vocabularies), but the shared label cache makes repeat
-// pairs cheap. When b is non-nil the score planes reuse its pooled slabs;
-// stale contents are harmless because the fill writes every logical entry
-// and the accessors never touch tile padding.
-func newKernelFrom(src, tgt *Interned, prec Precision, b *matchBuffers) *simKernel {
-	k := &simKernel{src: src, tgt: tgt, prec: prec}
+// depend on both vocabularies). When b is non-nil the score planes reuse
+// its pooled slabs; stale contents are harmless because the fill writes
+// every logical entry and the accessors never touch tile padding.
+func newKernelFrom(src, tgt *Interned, b *matchBuffers) *simKernel {
+	k := &simKernel{src: src, tgt: tgt}
 	var ln, pn int
 	k.lb, ln = newBlocked(len(src.Labels), len(tgt.Labels))
 	k.pb, pn = newBlocked(len(src.Props), len(tgt.Props))
@@ -167,16 +143,10 @@ func newKernelFrom(src, tgt *Interned, prec Precision, b *matchBuffers) *simKern
 	}
 	b.lKind = grow(b.lKind, ln)
 	b.pKind = grow(b.pKind, pn)
+	b.lScore = grow(b.lScore, ln)
+	b.pScore = grow(b.pScore, pn)
 	k.labelKind, k.propKind = b.lKind, b.pKind
-	if prec == PrecisionFloat32 {
-		b.lS32 = grow(b.lS32, ln)
-		b.pS32 = grow(b.pS32, pn)
-		k.labelScore32, k.propScore32 = b.lS32, b.pS32
-	} else {
-		b.lS64 = grow(b.lS64, ln)
-		b.pS64 = grow(b.pS64, pn)
-		k.labelScore64, k.propScore64 = b.lS64, b.pS64
-	}
+	k.labelScore, k.propScore = b.lScore, b.pScore
 	return k
 }
 
@@ -190,61 +160,36 @@ func (k *simKernel) logicalCells() int64 {
 // pre-order index i and target pre-order index j.
 func (k *simKernel) labelAt(i, j int) (float64, lingo.Kind) {
 	idx := k.lb.idx(k.src.LabelID[i], k.tgt.LabelID[j])
-	if k.labelScore64 != nil {
-		return k.labelScore64[idx], lingo.Kind(k.labelKind[idx])
-	}
-	return float64(k.labelScore32[idx]), lingo.Kind(k.labelKind[idx])
+	return k.labelScore[idx], lingo.Kind(k.labelKind[idx])
 }
 
 // propAt is labelAt for the property axis.
 func (k *simKernel) propAt(i, j int) (float64, lingo.Kind) {
 	idx := k.pb.idx(k.src.PropID[i], k.tgt.PropID[j])
-	if k.propScore64 != nil {
-		return k.propScore64[idx], lingo.Kind(k.propKind[idx])
-	}
-	return float64(k.propScore32[idx]), lingo.Kind(k.propKind[idx])
+	return k.propScore[idx], lingo.Kind(k.propKind[idx])
 }
 
 // setLabel stores one label-matrix entry at (label id, label id).
 func (k *simKernel) setLabel(i, j int32, s float64, kind lingo.Kind) {
 	idx := k.lb.idx(i, j)
-	if k.labelScore64 != nil {
-		k.labelScore64[idx] = s
-	} else {
-		k.labelScore32[idx] = float32(s)
-	}
+	k.labelScore[idx] = s
 	k.labelKind[idx] = uint8(kind)
 }
 
 // setProp stores one property-matrix entry at (prop id, prop id).
 func (k *simKernel) setProp(i, j int32, p PropertyQoM) {
 	idx := k.pb.idx(i, j)
-	if k.propScore64 != nil {
-		k.propScore64[idx] = p.Score
-	} else {
-		k.propScore32[idx] = float32(p.Score)
-	}
+	k.propScore[idx] = p.Score
 	k.propKind[idx] = uint8(p.Kind)
 }
 
 // fillLabelRows scores rows [lo, hi) of the label matrix through a batch
-// scorer, consulting (and feeding) the shared cross-match cache when one
-// is attached.
-func (k *simKernel) fillLabelRows(ks *lingo.KernelScorer, cache *lingo.ScoreCache, lo, hi int) {
+// scorer.
+func (k *simKernel) fillLabelRows(ks *lingo.KernelScorer, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		sl := k.src.Labels[i]
-		for j, tl := range k.tgt.Labels {
-			if cache != nil {
-				if ls, ok := cache.Get(sl, tl); ok {
-					k.setLabel(int32(i), int32(j), ls.Score, ls.Kind)
-					continue
-				}
-			}
+		for j := range k.tgt.Labels {
 			s, kind := ks.Score(int32(i), int32(j))
 			k.setLabel(int32(i), int32(j), s, kind)
-			if cache != nil {
-				cache.Put(sl, tl, lingo.LabelScore{Score: s, Kind: kind})
-			}
 		}
 	}
 }
@@ -260,9 +205,9 @@ func (k *simKernel) fillPropRows(lo, hi int) {
 }
 
 // fill computes both matrices on the calling goroutine.
-func (k *simKernel) fill(names *lingo.NameMatcher, cache *lingo.ScoreCache) {
+func (k *simKernel) fill(names *lingo.NameMatcher) {
 	ks := names.NewKernelScorer(k.src.Labels, k.tgt.Labels)
-	k.fillLabelRows(ks, cache, 0, len(k.src.Labels))
+	k.fillLabelRows(ks, 0, len(k.src.Labels))
 	k.fillPropRows(0, len(k.src.Props))
 }
 
@@ -272,7 +217,7 @@ func (k *simKernel) fill(names *lingo.NameMatcher, cache *lingo.ScoreCache) {
 // so the per-worker matcher clones of the pair-table phase are not needed
 // here. Rows are independent and every cell is a pure function of its two
 // vocabulary entries, so the result is bit-identical to a sequential fill.
-func (k *simKernel) fillParallel(names *lingo.NameMatcher, cache *lingo.ScoreCache, par int) {
+func (k *simKernel) fillParallel(names *lingo.NameMatcher, par int) {
 	ks := names.NewKernelScorer(k.src.Labels, k.tgt.Labels)
 	labelRows := make(chan int, len(k.src.Labels))
 	for i := range k.src.Labels {
@@ -291,7 +236,7 @@ func (k *simKernel) fillParallel(names *lingo.NameMatcher, cache *lingo.ScoreCac
 		go func() {
 			defer wg.Done()
 			for i := range labelRows {
-				k.fillLabelRows(ks, cache, i, i+1)
+				k.fillLabelRows(ks, i, i+1)
 			}
 			for i := range propRows {
 				k.fillPropRows(i, i+1)

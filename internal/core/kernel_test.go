@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"qmatch/internal/dataset"
-	"qmatch/internal/lingo"
 	"qmatch/internal/xmltree"
 )
 
@@ -17,9 +16,8 @@ func tableOf(m *Matcher, src, tgt *xmltree.Node) []QoM {
 }
 
 // The interned kernel must not change a single bit of any pair table: every
-// corpus workload scores identically with the kernel on (default), off
-// (the direct-scoring reference path) and with a shared score cache
-// attached.
+// corpus workload scores identically with the kernel on (default) and off
+// (the direct-scoring reference path).
 func TestKernelEquivalence(t *testing.T) {
 	pairs := []dataset.Pair{
 		dataset.POPair(), dataset.BookPair(), dataset.DCMDPair(),
@@ -37,20 +35,6 @@ func TestKernelEquivalence(t *testing.T) {
 		if got := tableOf(kern, p.Source, p.Target); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: kernel table differs from direct-scoring table", p.Name)
 		}
-
-		cached := NewMatcher(nil)
-		cached.Scores = lingo.NewScoreCache(0)
-		if got := tableOf(cached, p.Source, p.Target); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: cache-fed kernel table differs from direct-scoring table", p.Name)
-		}
-		// A second run on the same matcher answers every label from the
-		// cache — still bit-identical.
-		if got := tableOf(cached, p.Source, p.Target); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: warm-cache table differs from direct-scoring table", p.Name)
-		}
-		if s := cached.Scores.Stats(); s.Hits == 0 {
-			t.Errorf("%s: warm rerun recorded no cache hits (%+v)", p.Name, s)
-		}
 	}
 }
 
@@ -67,7 +51,6 @@ func TestKernelEquivalenceParallel(t *testing.T) {
 
 	par := NewMatcher(nil)
 	par.Parallelism = 4
-	par.Scores = lingo.NewScoreCache(0)
 	if got := tableOf(par, src, tgt); !reflect.DeepEqual(got, want) {
 		t.Error("parallel kernel table differs from sequential direct-scoring table")
 	}

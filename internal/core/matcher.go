@@ -38,12 +38,11 @@ type Matcher struct {
 	// bit-identical tables — every cell is a pure function of the cells
 	// of strictly smaller source subtrees, so only the schedule changes.
 	Parallelism int
-	// Scores is an optional shared label-pair score cache consulted (and
-	// fed) while the interned similarity kernel is filled, so repeated
-	// vocabulary across many matches on one long-lived handle is scored
-	// once. The cache is concurrency-safe; every matcher sharing one must
-	// use the same thesaurus and tuning (the public package's Engine
-	// guarantees this).
+	// Scores is ignored: the kernel fill scores every label pair through
+	// the batch scorer, which costs less than a shared cache lookup.
+	//
+	// Deprecated: no fill reads this field; it remains only so existing
+	// callers that set it still compile.
 	Scores *lingo.ScoreCache
 	// Trace receives a phase span for the kernel interning and pair-table
 	// fill of each Tree call (the Fig. 3 pipeline stages). Nil — the
@@ -63,11 +62,6 @@ type Matcher struct {
 	// CompiledSchema artifacts of the current call, skipping the intern
 	// walk for schemas compiled once up front.
 	Interner func(root *xmltree.Node) *Interned
-	// Precision selects the storage width of the kernel score matrices:
-	// PrecisionFloat64 (the zero value) is exact and bit-identical to the
-	// unkerneled reference path; PrecisionFloat32 halves kernel memory at
-	// float32 rounding tolerance (see the Precision type).
-	Precision Precision
 
 	// noKernel disables the interned similarity kernel and scores every
 	// cell directly — the reference path the kernel equivalence tests
@@ -200,8 +194,8 @@ func (m *Matcher) Tree(src, tgt *xmltree.Node) *Result {
 	} else {
 		if !m.noKernel {
 			sp := m.Trace.StartSpan(obs.PhaseIntern)
-			r.kern = newKernelFrom(m.interned(src, r.srcNodes), m.interned(tgt, r.tgtNodes), m.Precision, r.buf)
-			r.kern.fill(m.Names, m.Scores)
+			r.kern = newKernelFrom(m.interned(src, r.srcNodes), m.interned(tgt, r.tgtNodes), r.buf)
+			r.kern.fill(m.Names)
 			if sp != nil {
 				sp.SetNodes(len(r.kern.src.Labels), len(r.kern.tgt.Labels))
 				sp.SetCells(r.kern.logicalCells())
@@ -343,8 +337,8 @@ func (m *Matcher) treeParallel(r *Result, w AxisWeights, par int) {
 		pprof.Do(context.Background(),
 			pprof.Labels("qmatch_workload", workload, "qmatch_phase", "kernel"),
 			func(context.Context) {
-				r.kern = newKernelFrom(m.interned(r.Source, r.srcNodes), m.interned(r.Target, r.tgtNodes), m.Precision, r.buf)
-				r.kern.fillParallel(m.Names, m.Scores, len(workers))
+				r.kern = newKernelFrom(m.interned(r.Source, r.srcNodes), m.interned(r.Target, r.tgtNodes), r.buf)
+				r.kern.fillParallel(m.Names, len(workers))
 			})
 		if sp != nil {
 			sp.SetNodes(len(r.kern.src.Labels), len(r.kern.tgt.Labels))
@@ -417,8 +411,8 @@ func (m *Matcher) treeParallel(r *Result, w AxisWeights, par int) {
 func (m *Matcher) MatchNodes(s, t *xmltree.Node) QoM {
 	r := newResult(s, t)
 	if !m.noKernel {
-		r.kern = newKernelFrom(m.interned(s, r.srcNodes), m.interned(t, r.tgtNodes), m.Precision, r.buf)
-		r.kern.fill(m.Names, m.Scores)
+		r.kern = newKernelFrom(m.interned(s, r.srcNodes), m.interned(t, r.tgtNodes), r.buf)
+		r.kern.fill(m.Names)
 	}
 	tw := &treeWorker{m: m, names: m.Names, r: r, w: m.Weights.Normalized()}
 	for i := len(r.srcNodes) - 1; i >= 0; i-- {

@@ -9,7 +9,8 @@ import (
 )
 
 // A traced sequential Tree records the intern and pair-table phases with
-// full counts, and a traced Hybrid.Match adds the selection phase.
+// full counts, and a traced Hybrid.Match adds the candidate-extraction and
+// selection phases.
 func TestTreeTraceSpans(t *testing.T) {
 	p := dataset.POPair()
 	h := NewHybrid(nil)
@@ -40,6 +41,10 @@ func TestTreeTraceSpans(t *testing.T) {
 	sel, ok := byPhase[obs.PhaseSelect]
 	if !ok || sel.Selected == 0 || sel.Cells == 0 {
 		t.Fatalf("select span missing or empty: %+v (PO pair must select something)", sel)
+	}
+	cand, ok := byPhase[obs.PhaseCandidates]
+	if !ok || cand.Cells != int64(srcN*tgtN) || int64(cand.Selected) != sel.Cells {
+		t.Fatalf("candidates span = %+v, want %d table cells and %d candidates kept", cand, srcN*tgtN, sel.Cells)
 	}
 }
 

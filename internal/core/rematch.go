@@ -164,8 +164,8 @@ func (m *Matcher) RematchTarget(prev *Result, newTgt *xmltree.Node) (*Result, Re
 		si := m.interned(r.Source, r.srcNodes)
 		ti := m.interned(newTgt, r.tgtNodes)
 		if int64(n)*int64(len(dirty)) >= int64(len(si.Labels))*int64(len(ti.Labels)) {
-			r.kern = newKernelFrom(si, ti, m.Precision, r.buf)
-			r.kern.fill(m.Names, m.Scores)
+			r.kern = newKernelFrom(si, ti, r.buf)
+			r.kern.fill(m.Names)
 		}
 	}
 	tw := &treeWorker{m: m, names: m.Names, r: r, w: w}
@@ -215,8 +215,8 @@ func (m *Matcher) RematchSource(prev *Result, newSrc *xmltree.Node) (*Result, Re
 		si := m.interned(newSrc, r.srcNodes)
 		ti := m.interned(r.Target, r.tgtNodes)
 		if int64(dirtyRows)*int64(mcols) >= int64(len(si.Labels))*int64(len(ti.Labels)) {
-			r.kern = newKernelFrom(si, ti, m.Precision, r.buf)
-			r.kern.fill(m.Names, m.Scores)
+			r.kern = newKernelFrom(si, ti, r.buf)
+			r.kern.fill(m.Names)
 		}
 	}
 	trueRow := make([]bool, mcols)

@@ -22,10 +22,9 @@ type CacheStats struct {
 	Evictions int64
 }
 
-// DefaultScoreCacheSize is the entry bound a zero size selects — roomy
-// enough for the full cross-vocabulary of the corpus' largest workload
-// (231×3753 nodes intern to far fewer unique labels) many times over,
-// while capping worst-case memory near tens of megabytes.
+// DefaultScoreCacheSize is the entry bound a zero size selects: under a
+// third of the protein pair's 866,712 distinct label pairs, on which a
+// cache this size thrashes.
 const DefaultScoreCacheSize = 1 << 18
 
 // scoreShards is the shard count; a power of two so the hash folds with a
@@ -38,10 +37,7 @@ const scoreShards = 32
 const evictBatch = 16
 
 // ScoreCache is a concurrency-safe, sharded, size-bounded memo of
-// label-pair scores. An Engine owns one and shares it across every worker
-// of every Match/MatchAll call, so a label pair appearing anywhere in an
-// N×M batch grid — or across successive Match calls on a long-lived
-// Engine — is scored by the linguistic matcher exactly once.
+// label-pair scores.
 //
 // Keys are stored symmetrically (NameMatcher.Match(a,b) == Match(b,a), a
 // property the test suite pins), so Get(a, b) and Get(b, a) hit the same
@@ -51,8 +47,9 @@ const evictBatch = 16
 // vocabularies and needs no per-entry bookkeeping.
 //
 // A cache must only be shared among matchers with identical thesaurus and
-// tuning: the key is the label pair alone. The Engine freezes both at
-// construction, which is what makes the share sound.
+// tuning: the key is the label pair alone.
+//
+// Deprecated: no matcher reads it; a lookup costs more than rescoring.
 type ScoreCache struct {
 	maxPerShard int
 	hits        atomic.Int64
@@ -71,6 +68,8 @@ type scoreKey struct{ a, b string }
 // NewScoreCache returns a cache bounded to roughly maxEntries label pairs
 // (rounded up to a multiple of the shard count). Sizes <= 0 select
 // DefaultScoreCacheSize.
+//
+// Deprecated: see ScoreCache.
 func NewScoreCache(maxEntries int) *ScoreCache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultScoreCacheSize

@@ -28,8 +28,8 @@ var symmetryLabels = []string{
 	"ThisIsAnExtremelyLongSchemaElementLabelThatExceedsTheStackBufferLimitOfTheStringMetricsByAGoodMargin",
 }
 
-// The hybrid kernel and the Engine's score cache both store one entry per
-// unordered label pair, which is only sound if Match is symmetric. Pin it.
+// ScoreCache stores one entry per unordered label pair, which is only
+// sound if Match is symmetric. Pin it.
 func TestNameMatchSymmetric(t *testing.T) {
 	m := matcher()
 	for _, a := range symmetryLabels {

@@ -12,10 +12,12 @@ import (
 
 // Phase names one stage of the match pipeline (paper Fig. 3): schema
 // parsing, vocabulary interning into the similarity kernel, the QoM
-// pair-table fill, and correspondence selection. The registry/corpus-search
-// pipeline adds two stages of its own: artifact compilation (parse→intern
-// folded into a reusable CompiledSchema) and the vocabulary-overlap
-// prefilter that selects top-K candidates before any full QoM table runs.
+// pair-table fill, candidate extraction (turning the filled table into the
+// scored pairs selection reads) and correspondence selection. The
+// registry/corpus-search pipeline adds two stages of its own: artifact
+// compilation (parse→intern folded into a reusable CompiledSchema) and the
+// vocabulary-overlap prefilter that selects top-K candidates before any
+// full QoM table runs.
 //
 // The request-correlation layer adds structural phases that exist only as
 // parents in a hierarchical trace: "request" (one HTTP request end to end),
@@ -29,30 +31,32 @@ import (
 type Phase string
 
 const (
-	PhaseParse     Phase = "parse"
-	PhaseIntern    Phase = "intern"
-	PhasePairTable Phase = "pairtable"
-	PhaseSelect    Phase = "select"
-	PhaseCompile   Phase = "compile"
-	PhasePrefilter Phase = "prefilter"
-	PhaseRematch   Phase = "rematch"
-	PhaseRequest   Phase = "request"
-	PhaseQueue     Phase = "queue"
-	PhaseMatch     Phase = "match"
-	PhaseLevel     Phase = "level"
-	PhaseJob       Phase = "job"
-	PhaseShard     Phase = "shard"
+	PhaseParse      Phase = "parse"
+	PhaseIntern     Phase = "intern"
+	PhasePairTable  Phase = "pairtable"
+	PhaseCandidates Phase = "candidates"
+	PhaseSelect     Phase = "select"
+	PhaseCompile    Phase = "compile"
+	PhasePrefilter  Phase = "prefilter"
+	PhaseRematch    Phase = "rematch"
+	PhaseRequest    Phase = "request"
+	PhaseQueue      Phase = "queue"
+	PhaseMatch      Phase = "match"
+	PhaseLevel      Phase = "level"
+	PhaseJob        Phase = "job"
+	PhaseShard      Phase = "shard"
 )
 
 // Span is one finished phase of a match trace. ID and ParentID encode the
 // span hierarchy: IDs are assigned in start order from 1, ParentID 0 marks
 // a root span. Counts are phase-specific: the intern span counts interned
 // vocabulary entries and scored kernel cells, the pair-table span counts
-// tree nodes and filled table cells, the select span counts candidate
-// pairs (Cells) and accepted correspondences (Selected), and a level span
-// carries its 1-based fill level (1 = the leaf level). Partial marks a
-// span closed before its phase completed — a cancelled MatchAll reports
-// the work done so far instead of leaking an unfinished span.
+// tree nodes and filled table cells, the candidates span counts table
+// cells read (Cells) and candidates kept (Selected), the select span counts
+// candidate pairs (Cells) and accepted correspondences (Selected), and a
+// level span carries its 1-based fill level (1 = the leaf level). Partial
+// marks a span closed before its phase completed — a cancelled MatchAll
+// reports the work done so far instead of leaking an unfinished span.
 type Span struct {
 	Phase      Phase `json:"phase"`
 	ID         int64 `json:"id,omitempty"`
@@ -421,7 +425,7 @@ func (mt *MatchTrace) Format() string {
 		if s.Level > 0 {
 			fmt.Fprintf(&b, " level=%d", s.Level)
 		}
-		if s.Phase == PhaseSelect {
+		if s.Phase == PhaseSelect || s.Phase == PhaseCandidates {
 			fmt.Fprintf(&b, " selected=%d", s.Selected)
 		}
 		if s.Partial {

@@ -648,7 +648,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics writes the default Engine's registry (match counters,
-// durations, label-cache gauges) followed by the server's HTTP registry,
+// durations, per-phase wall time) followed by the server's HTTP registry,
 // both in the Prometheus text format. Pooled per-override Engines keep
 // their own registries and are not scraped here.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

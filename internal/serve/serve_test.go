@@ -420,7 +420,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	text := string(body)
 	for _, want := range []string{
 		"qmatch_matches_total 1",
-		"qmatch_label_cache_entries",
+		"qmatch_pairtable_cells_total",
 		`qmatchd_http_requests_total{route="match",code="200"} 1`,
 		`qmatchd_http_request_duration_seconds_bucket{route="match",le="+Inf"} 1`,
 		"qmatchd_http_queue_depth",
@@ -429,6 +429,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q:\n%s", want, text)
 		}
+	}
+	// The Engine keeps no label-score cache, so none of its metrics appear.
+	if strings.Contains(text, "qmatch_label_cache") {
+		t.Errorf("metrics output still exports qmatch_label_cache_*:\n%s", text)
 	}
 }
 

@@ -10,17 +10,25 @@ import (
 // The Engine's metric names. Every counter/gauge/histogram the match
 // pipeline maintains is listed here; DESIGN.md §"Observability" documents
 // semantics. Phase wall time is keyed by a phase label:
-// qmatch_phase_ns_total{phase="parse|intern|pairtable|select|compile|prefilter"}.
+// qmatch_phase_ns_total{phase="parse|intern|pairtable|candidates|select|compile|prefilter|rematch"}.
 const (
-	MetricMatches        = "qmatch_matches_total"
-	MetricCancelled      = "qmatch_matches_cancelled_total"
-	MetricCells          = "qmatch_pairtable_cells_total"
-	MetricDuration       = "qmatch_match_duration_seconds"
-	MetricInflight       = "qmatch_inflight_matches"
-	MetricWorkers        = "qmatch_matchall_workers"
+	MetricMatches   = "qmatch_matches_total"
+	MetricCancelled = "qmatch_matches_cancelled_total"
+	MetricCells     = "qmatch_pairtable_cells_total"
+	MetricDuration  = "qmatch_match_duration_seconds"
+	MetricInflight  = "qmatch_inflight_matches"
+	MetricWorkers   = "qmatch_matchall_workers"
+)
+
+// Label-score cache metric names. The Engine keeps no label-score cache —
+// the kernel fill scores every label pair directly — so no registry
+// exports these names and MetricValue reports them absent.
+//
+// Deprecated: nothing emits these metrics; the names remain only so
+// existing code that references them still compiles.
+const (
 	MetricCacheHits      = "qmatch_label_cache_hits_total"
 	MetricCacheMisses    = "qmatch_label_cache_misses_total"
-	MetricCacheEntries   = "qmatch_label_cache_entries"
 	MetricCacheEvictions = "qmatch_label_cache_evictions_total"
 )
 
@@ -39,11 +47,13 @@ func phaseDurationMetric(p obs.Phase) string {
 
 // TraceSpan is one phase of a match pipeline trace (paper Fig. 3): parse,
 // intern (vocabulary interning into the similarity kernel), pairtable (the
-// QoM pair-table fill) and select (correspondence selection). Counts are
-// phase-specific: the intern span counts interned vocabulary entries
-// (SrcNodes/TgtNodes) and scored kernel cells, the pairtable span counts
-// tree nodes and filled table cells, the select span counts candidate
-// pairs (Cells) and accepted correspondences (Selected). Partial marks a
+// QoM pair-table fill), candidates (the table turned into scored candidate
+// pairs) and select (correspondence selection). Counts are phase-specific:
+// the intern span counts interned vocabulary entries (SrcNodes/TgtNodes)
+// and scored kernel cells, the pairtable span counts tree nodes and filled
+// table cells, the candidates span counts table cells (Cells) and
+// candidates kept (Selected), the select span counts candidate pairs
+// (Cells) and accepted correspondences (Selected). Partial marks a
 // phase cut short by cancellation; its counts cover the work done so far.
 //
 // Spans form a hierarchy: ID numbers spans in start order from 1, and
