@@ -13,7 +13,7 @@ import (
 	"qmatch"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden wire-format files")
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // complexPairXSD builds the 1:n split example (AuthorName ↔ FirstName +
 // LastName) so the golden file covers ComplexCorrespondence too.
