@@ -183,12 +183,8 @@ func installInterner(alg any, f func(*xmltree.Node) *core.Interned) {
 // at the pair-table phase, reusing each side's precompiled vocabulary.
 // The Report is bit-identical to Match(src.Schema(), tgt.Schema()).
 func (e *Engine) MatchCompiled(src, tgt *CompiledSchema) *Report {
-	alg, release := e.algorithm(e.parallelism)
-	defer release()
-	installInterner(alg, compiledInterner(src, tgt))
-	rep := e.run(context.Background(), alg, src.schema, tgt.schema)
-	e.attachRematchState(rep, alg, src, tgt)
-	return rep
+	report, _ := e.MatchCompiledContext(context.Background(), src, tgt)
+	return report
 }
 
 // MatchCompiledContext is MatchContext over compiled schemas; see

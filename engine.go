@@ -243,9 +243,8 @@ func reportFrom(alg match.Algorithm, src, tgt *Schema) *Report {
 // parallelizes its QoM pair-table computation up to the engine's
 // parallelism (hybrid algorithm only).
 func (e *Engine) Match(src, tgt *Schema) *Report {
-	alg, release := e.algorithm(e.parallelism)
-	defer release()
-	return e.run(context.Background(), alg, src, tgt)
+	report, _ := e.MatchContext(context.Background(), src, tgt)
+	return report
 }
 
 // observing reports whether any instrumentation is enabled; when false the
@@ -431,9 +430,9 @@ func (e *Engine) MatchAll(ctx context.Context, sources, targets []*Schema) ([][]
 	return e.matchAll(ctx, sources, targets, nil)
 }
 
-// matchAll is the worker-pool body shared by MatchAll and
-// MatchAllCompiled; a non-nil interner is installed into every worker's
-// matcher so compiled schemas skip the intern phase.
+// matchAll is the batch body shared by MatchAll and MatchAllCompiled: one
+// pool job per (source, target) cell, in row-major order, each through
+// run. A non-nil interner lets compiled schemas skip the intern phase.
 func (e *Engine) matchAll(ctx context.Context, sources, targets []*Schema, interner func(*xmltree.Node) *core.Interned) ([][]*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -446,19 +445,10 @@ func (e *Engine) matchAll(ctx context.Context, sources, targets []*Schema, inter
 	if jobs == 0 {
 		return out, ctx.Err()
 	}
-	workers := e.parallelism
-	if workers > jobs {
-		workers = jobs
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := e.batchWorkers(jobs)
 	// Whole pairs are the unit of parallelism; any worker-pool slack
 	// (fewer jobs than workers) goes to the inner pair-table pool.
-	inner := e.parallelism / workers
-	if inner < 1 {
-		inner = 1
-	}
+	inner := max(1, e.parallelism/workers)
 
 	if e.logger != nil {
 		e.logger.LogAttrs(ctx, slog.LevelDebug, "matchall start",
@@ -468,52 +458,12 @@ func (e *Engine) matchAll(ctx context.Context, sources, targets []*Schema, inter
 	e.em.workers.Set(int64(workers)) // nil-safe without Observer.Metrics
 	batchStart := time.Now()
 
-	type job struct{ i, j int }
-	ch := make(chan job)
-	go func() {
-		defer close(ch)
-		for i := range sources {
-			for j := range targets {
-				select {
-				case ch <- job{i, j}:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}
-	}()
-
 	var completed atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			alg, release := e.algorithm(inner)
-			defer release()
-			if ds, ok := alg.(interface{ SetDone(<-chan struct{}) }); ok {
-				// Cancellation reaches into in-flight pair-table
-				// fills: the fill stops between levels and its trace
-				// span closes as partial instead of leaking open.
-				ds.SetDone(ctx.Done())
-			}
-			if interner != nil {
-				installInterner(alg, interner)
-			}
-			resetter, _ := alg.(interface{ ResetCache() })
-			for jb := range ch {
-				if resetter != nil {
-					// Distinct pairs never reuse each other's
-					// tables; dropping them bounds memory over
-					// large batches.
-					resetter.ResetCache()
-				}
-				out[jb.i][jb.j] = e.run(ctx, alg, sources[jb.i], targets[jb.j])
-				completed.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
+	e.pool(ctx, jobs, workers, inner, interner, func(alg match.Algorithm, k int) {
+		i, j := k/len(targets), k%len(targets)
+		out[i][j] = e.run(ctx, alg, sources[i], targets[j])
+		completed.Add(1)
+	})
 	if err := ctx.Err(); err != nil {
 		e.em.cancelled.Add(int64(jobs) - completed.Load())
 		if e.logger != nil {
@@ -529,6 +479,59 @@ func (e *Engine) matchAll(ctx context.Context, sources, targets []*Schema, inter
 			slog.Duration("elapsed", time.Since(batchStart)))
 	}
 	return out, nil
+}
+
+// batchWorkers is the batch worker count for n jobs: the engine's
+// parallelism, capped at n, at least 1.
+func (e *Engine) batchWorkers(n int) int {
+	return max(1, min(e.parallelism, n))
+}
+
+// pool is the worker pool shared by matchAll and rank: it runs jobs
+// 0..jobs-1 across workers goroutines and returns once every worker has
+// exited. Each worker owns one algorithm instance (its pair-table fills
+// bounded by inner workers) with ctx.Done() wired into its fills, so
+// cancellation stops in-flight fills between levels and closes their trace
+// spans as partial instead of leaking them open; a non-nil interner is
+// installed so compiled schemas skip the intern phase. Distinct pairs never
+// reuse each other's tables, so the worker drops its memoized tables before
+// every job, which bounds memory over large batches. do runs one job; on
+// cancellation the remaining jobs are never handed out.
+func (e *Engine) pool(ctx context.Context, jobs, workers, inner int, interner func(*xmltree.Node) *core.Interned, do func(alg match.Algorithm, job int)) {
+	ch := make(chan int)
+	go func() {
+		defer close(ch)
+		for k := 0; k < jobs; k++ {
+			select {
+			case ch <- k:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			alg, release := e.algorithm(inner)
+			defer release()
+			if ds, ok := alg.(interface{ SetDone(<-chan struct{}) }); ok {
+				ds.SetDone(ctx.Done())
+			}
+			if interner != nil {
+				installInterner(alg, interner)
+			}
+			resetter, _ := alg.(interface{ ResetCache() })
+			for k := range ch {
+				if resetter != nil {
+					resetter.ResetCache()
+				}
+				do(alg, k)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Rank matches one query schema against every schema of a corpus
@@ -550,63 +553,28 @@ func (e *Engine) RankContext(ctx context.Context, query *Schema, corpus []*Schem
 	return e.rank(ctx, query, corpus, nil)
 }
 
-// rank is the worker-pool body shared by Rank, RankContext and
-// RankCompiled; a non-nil interner is installed into every worker's
-// matcher so compiled schemas skip the intern phase.
+// rank is the body shared by Rank, RankContext and RankCompiled: one pool
+// job per corpus schema. A non-nil interner lets compiled schemas skip the
+// intern phase.
 func (e *Engine) rank(ctx context.Context, query *Schema, corpus []*Schema, interner func(*xmltree.Node) *core.Interned) ([]Ranked, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	rankStart := time.Now()
 	out := make([]Ranked, len(corpus))
-	workers := e.parallelism
-	if workers > len(corpus) {
-		workers = len(corpus)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	jobs := make(chan int)
-	go func() {
-		defer close(jobs)
-		for i := range corpus {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				return
-			}
+	workers := e.batchWorkers(len(corpus))
+	// Ranking bypasses run: its corpus matches are not metered or traced
+	// as individual Engine matches.
+	e.pool(ctx, len(corpus), workers, 1, interner, func(alg match.Algorithm, i int) {
+		tgt := corpus[i]
+		cs := alg.Match(query.root, tgt.root)
+		r := Ranked{Index: i, Schema: tgt, Score: alg.TreeScore(query.root, tgt.root)}
+		r.Correspondences = make([]Correspondence, len(cs))
+		for j, c := range cs {
+			r.Correspondences[j] = Correspondence{Source: c.Source, Target: c.Target, Score: c.Score}
 		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			alg, release := e.algorithm(1)
-			defer release()
-			if ds, ok := alg.(interface{ SetDone(<-chan struct{}) }); ok {
-				ds.SetDone(ctx.Done())
-			}
-			if interner != nil {
-				installInterner(alg, interner)
-			}
-			resetter, _ := alg.(interface{ ResetCache() })
-			for i := range jobs {
-				if resetter != nil {
-					resetter.ResetCache()
-				}
-				tgt := corpus[i]
-				cs := alg.Match(query.root, tgt.root)
-				r := Ranked{Index: i, Schema: tgt, Score: alg.TreeScore(query.root, tgt.root)}
-				r.Correspondences = make([]Correspondence, len(cs))
-				for j, c := range cs {
-					r.Correspondences[j] = Correspondence{Source: c.Source, Target: c.Target, Score: c.Score}
-				}
-				out[i] = r
-			}
-		}()
-	}
-	wg.Wait()
+		out[i] = r
+	})
 	if err := ctx.Err(); err != nil {
 		if e.logger != nil {
 			e.logger.LogAttrs(context.Background(), slog.LevelWarn, "rank cancelled",

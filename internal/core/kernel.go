@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"qmatch/internal/lingo"
 	"qmatch/internal/xmltree"
@@ -13,14 +14,14 @@ import (
 // the corpus' largest workload (231×3753 nodes). The kernel interns both
 // vocabularies at match entry, scores each unique (label, label) and
 // (propset, propset) combination exactly once into dense matrices, and
-// turns the per-cell axis work of treeWorker.pair into two array lookups.
-// The linguistic cost of a match drops from O(n·m) to O(|Lₛ|·|Lₜ|) (see
-// DESIGN.md §5.9). How much that saves depends on the vocabulary: small
-// and synthetic schemas repeat labels heavily, but the protein schemas
-// intern to 231×3752 distinct labels (866,712 label pairs, nearly one per
-// cell), so there the kernel's win is the batch scorer's dense token
-// matrix — each label pair costs array arithmetic, not string work — not
-// deduplication.
+// turns the per-cell axis work of the pair-table sweep (computeCols) into
+// two array lookups. The linguistic cost of a match drops from O(n·m) to
+// O(|Lₛ|·|Lₜ|) (see DESIGN.md §5.9). How much that saves depends on the
+// vocabulary: small and synthetic schemas repeat labels heavily, but the
+// protein schemas intern to 231×3752 distinct labels (866,712 label pairs,
+// nearly one per cell), so there the kernel's win is the batch scorer's
+// dense token matrix — each label pair costs array arithmetic, not string
+// work — not deduplication.
 //
 // The matrices are stored structure-of-arrays (scores and kinds apart) in
 // a tile-blocked layout — see the blocked type.
@@ -204,42 +205,33 @@ func (k *simKernel) fillPropRows(lo, hi int) {
 	}
 }
 
-// fill computes both matrices on the calling goroutine.
-func (k *simKernel) fill(names *lingo.NameMatcher) {
+// fill computes both matrices over par workers (par <= 1 fills on the
+// calling goroutine), each worker taking the next unfilled matrix row.
+// The batch scorer is built once on the calling goroutine (construction
+// mutates the matcher's memos) and then shared read-only — Score is
+// concurrency-safe — so the per-worker matcher clones of the pair-table
+// sweep are not needed here. Every entry is a pure function of its two
+// vocabulary entries, so the result is bit-identical for any par.
+func (k *simKernel) fill(names *lingo.NameMatcher, par int) {
 	ks := names.NewKernelScorer(k.src.Labels, k.tgt.Labels)
-	k.fillLabelRows(ks, 0, len(k.src.Labels))
-	k.fillPropRows(0, len(k.src.Props))
-}
-
-// fillParallel fans the matrix rows across par goroutines. The batch
-// scorer is built once on the calling goroutine (construction mutates the
-// matcher's memos) and then shared read-only — Score is concurrency-safe —
-// so the per-worker matcher clones of the pair-table phase are not needed
-// here. Rows are independent and every cell is a pure function of its two
-// vocabulary entries, so the result is bit-identical to a sequential fill.
-func (k *simKernel) fillParallel(names *lingo.NameMatcher, par int) {
-	ks := names.NewKernelScorer(k.src.Labels, k.tgt.Labels)
-	labelRows := make(chan int, len(k.src.Labels))
-	for i := range k.src.Labels {
-		labelRows <- i
+	nl, np := len(k.src.Labels), len(k.src.Props)
+	if par <= 1 {
+		k.fillLabelRows(ks, 0, nl)
+		k.fillPropRows(0, np)
+		return
 	}
-	close(labelRows)
-	propRows := make(chan int, len(k.src.Props))
-	for i := range k.src.Props {
-		propRows <- i
-	}
-	close(propRows)
-
+	var next atomic.Int64 // rows [0, nl) are label rows, then np prop rows
 	var wg sync.WaitGroup
 	for w := 0; w < par; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range labelRows {
-				k.fillLabelRows(ks, i, i+1)
-			}
-			for i := range propRows {
-				k.fillPropRows(i, i+1)
+			for i := int(next.Add(1)) - 1; i < nl+np; i = int(next.Add(1)) - 1 {
+				if i < nl {
+					k.fillLabelRows(ks, i, i+1)
+				} else {
+					k.fillPropRows(i-nl, i-nl+1)
+				}
 			}
 		}()
 	}

@@ -15,9 +15,9 @@ func tableOf(m *Matcher, src, tgt *xmltree.Node) []QoM {
 	return m.Tree(src, tgt).table
 }
 
-// The interned kernel must not change a single bit of any pair table: every
-// corpus workload scores identically with the kernel on (default) and off
-// (the direct-scoring reference path).
+// The interned kernel and the row sweep must not change a single bit of any
+// pair table: every corpus workload fills identically to the recursive
+// direct-scoring oracle (reference_test.go).
 func TestKernelEquivalence(t *testing.T) {
 	pairs := []dataset.Pair{
 		dataset.POPair(), dataset.BookPair(), dataset.DCMDPair(),
@@ -27,13 +27,11 @@ func TestKernelEquivalence(t *testing.T) {
 		pairs = append(pairs, dataset.ProteinPair())
 	}
 	for _, p := range pairs {
-		ref := NewMatcher(nil)
-		ref.noKernel = true
-		want := tableOf(ref, p.Source, p.Target)
+		want := referenceTable(NewMatcher(nil), p.Source, p.Target)
 
 		kern := NewMatcher(nil)
 		if got := tableOf(kern, p.Source, p.Target); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: kernel table differs from direct-scoring table", p.Name)
+			t.Errorf("%s: kernel table differs from the recursive direct-scoring oracle", p.Name)
 		}
 	}
 }
@@ -45,14 +43,12 @@ func TestKernelEquivalenceParallel(t *testing.T) {
 	if cells := src.Size() * tgt.Size(); cells < parallelCutoff {
 		t.Fatalf("workload has %d cells, below the parallel cutoff %d", cells, parallelCutoff)
 	}
-	ref := NewMatcher(nil)
-	ref.noKernel = true
-	want := tableOf(ref, src, tgt)
+	want := referenceTable(NewMatcher(nil), src, tgt)
 
 	par := NewMatcher(nil)
 	par.Parallelism = 4
 	if got := tableOf(par, src, tgt); !reflect.DeepEqual(got, want) {
-		t.Error("parallel kernel table differs from sequential direct-scoring table")
+		t.Error("parallel kernel table differs from the recursive direct-scoring oracle")
 	}
 }
 
@@ -60,18 +56,16 @@ func TestKernelEquivalenceParallel(t *testing.T) {
 // from the -1 table index Result.cell would produce.
 func TestPairForeignNode(t *testing.T) {
 	p := dataset.DCMDPair()
-	m := NewMatcher(nil)
-	r := m.Tree(p.Source, p.Target)
-	tw := &treeWorker{m: m, names: m.Names, r: r, w: m.Weights.Normalized()}
+	r := NewMatcher(nil).Tree(p.Source, p.Target)
 	foreign := xmltree.New("Stranger", xmltree.Elem("string"))
-	if q := tw.pair(foreign, p.Target); q != (QoM{}) {
-		t.Errorf("pair(foreign, target) = %+v, want zero QoM", q)
-	}
-	if q := tw.pair(p.Source, foreign); q != (QoM{}) {
-		t.Errorf("pair(source, foreign) = %+v, want zero QoM", q)
-	}
 	if q, ok := r.Pair(foreign, p.Target); ok || q != (QoM{}) {
 		t.Errorf("Pair(foreign, target) = %+v, %v, want zero, false", q, ok)
+	}
+	if q, ok := r.Pair(p.Source, foreign); ok || q != (QoM{}) {
+		t.Errorf("Pair(source, foreign) = %+v, %v, want zero, false", q, ok)
+	}
+	if bt, q := r.BestForSource(foreign); bt != nil || q != (QoM{}) {
+		t.Errorf("BestForSource(foreign) = %v, %+v, want nil, zero", bt, q)
 	}
 }
 

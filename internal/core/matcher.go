@@ -31,12 +31,13 @@ type Matcher struct {
 	Threshold float64
 	// Names is the pluggable linguistic algorithm for the label axis.
 	Names *lingo.NameMatcher
-	// Parallelism bounds the worker pool that fills the QoM pair table.
-	// 1 (and 0, the default) computes the table sequentially on the
-	// calling goroutine; n > 1 allows up to n workers; negative values
-	// select GOMAXPROCS. Parallel and sequential computation produce
-	// bit-identical tables — every cell is a pure function of the cells
-	// of strictly smaller source subtrees, so only the schedule changes.
+	// Parallelism bounds the worker pool that fills the QoM pair table —
+	// a whole table or a re-match's dirty cells alike. 1 (and 0, the
+	// default) computes the cells sequentially on the calling goroutine;
+	// n > 1 allows up to n workers; negative values select GOMAXPROCS.
+	// Parallel and sequential computation produce bit-identical tables —
+	// every cell is a pure function of the cells of strictly smaller
+	// source subtrees, so only the schedule changes.
 	Parallelism int
 	// Scores is ignored: the kernel fill scores every label pair through
 	// the batch scorer, which costs less than a shared cache lookup.
@@ -49,11 +50,12 @@ type Matcher struct {
 	// default — disables tracing; the disabled path is a nil-check with
 	// zero allocations.
 	Trace *obs.Trace
-	// Done aborts an in-flight fill when closed: the pair-table sweep
-	// stops between source rows (sequential) or height levels (parallel),
-	// leaving the remaining cells uncomputed and the trace span marked
-	// partial with the cell count filled so far. Nil — the default —
-	// never aborts. Engine.MatchAll wires this to ctx.Done().
+	// Done aborts an in-flight fill (Tree or re-match) when closed: the
+	// pair-table sweep stops between source rows (sequential) or height
+	// levels (parallel), leaving the remaining cells uncomputed and the
+	// trace span marked partial with the cell count filled so far. Nil —
+	// the default — never aborts. The Engine's context-taking methods
+	// wire this to ctx.Done().
 	Done <-chan struct{}
 	// Interner resolves a precompiled per-side vocabulary for a tree root.
 	// Nil (the default), a nil return, or an Interned whose node count
@@ -62,11 +64,6 @@ type Matcher struct {
 	// CompiledSchema artifacts of the current call, skipping the intern
 	// walk for schemas compiled once up front.
 	Interner func(root *xmltree.Node) *Interned
-
-	// noKernel disables the interned similarity kernel and scores every
-	// cell directly — the reference path the kernel equivalence tests
-	// compare against.
-	noKernel bool
 }
 
 // parallelCutoff is the minimum pair-table size (cells) worth fanning out;
@@ -88,11 +85,11 @@ func NewMatcher(th *lingo.Thesaurus) *Matcher {
 }
 
 // Result holds the full pair table of a tree match: the QoM of every
-// (source node, target node) pair, memoized during the recursion — this is
-// what realizes the paper's O(n·m) bound (DESIGN.md §5.1). The table is a
-// dense n×m slice indexed by pre-order position; on the corpus' largest
-// workload (231×3753 nodes) this more than halves the allocation volume a
-// map-based memo would cost.
+// (source node, target node) pair, each cell computed once from its
+// children's rows — this is what realizes the paper's O(n·m) bound
+// (DESIGN.md §5.1). The table is a dense n×m slice indexed by pre-order
+// position; on the corpus' largest workload (231×3753 nodes) this more
+// than halves the allocation volume a map-based memo would cost.
 type Result struct {
 	Source, Target *xmltree.Node
 	// Root is the QoM of the two schema roots — "the total match value
@@ -107,7 +104,7 @@ type Result struct {
 
 	// Iterative-fill side structures (built once per match in newResult):
 	// child lists as pre-order indices, nesting levels, leaf flags, and the
-	// root-pair level rule, all precomputed so computeRow touches no node
+	// root-pair level rule, all precomputed so computeCols touches no node
 	// pointers on the hot path.
 	srcKids, tgtKids     [][]int32
 	srcLevels, tgtLevels []int32
@@ -144,7 +141,7 @@ func newResult(src, tgt *xmltree.Node) *Result {
 // acquireBuffers sized exactly so the appends never reallocate), nesting
 // levels (the side root's cached level, each child one deeper), and leaf
 // flags. One O(n) walk replaces the per-cell Level/IsLeaf/pointer chasing
-// the recursive fill used to do.
+// a recursive fill would do.
 func buildSide(nodes []*xmltree.Node, idx map[*xmltree.Node]int, kids [][]int32, levels []int32, leaf []bool, backing *[]int32) {
 	levels[0] = int32(nodes[0].Level())
 	for i, nd := range nodes {
@@ -184,53 +181,216 @@ type PairQoM struct {
 // the paper's PurchaseInfo vs Purchase Order example) and returns the
 // complete result. With Parallelism beyond 1 and a table large enough to
 // be worth it, the computation fans out over a bounded worker pool (see
-// treeParallel); the resulting table is bit-identical to the sequential
-// one.
+// sweep); the resulting table is bit-identical to the sequential one.
 func (m *Matcher) Tree(src, tgt *xmltree.Node) *Result {
 	r := newResult(src, tgt)
-	w := m.Weights.Normalized()
-	if par := m.parallelism(); par > 1 && len(r.table) >= parallelCutoff {
-		m.treeParallel(r, w, par)
+	m.sweep(r, nil, nil)
+	return r
+}
+
+// sweep is the one pair-table fill driver: it computes the cells of the
+// given source rows × target columns of r, every other cell being already
+// complete. rows nil selects every row, otherwise rows must be in
+// descending pre-order (children before parents); cols nil selects every
+// column. Tree fills the whole table, the incremental re-match only its
+// dirty rows or columns.
+//
+// The dense kernel scores every vocabulary pair up front, which only
+// amortizes when the cells to fill outnumber the label pairs — always true
+// for a whole table (a side has at most as many labels as nodes), rarely
+// for a typical delta, whose few cells are scored directly through the
+// name matcher instead.
+//
+// One worker sweeps the rows in descending pre-order on the calling
+// goroutine. Several workers (Parallelism beyond 1 and at least
+// parallelCutoff cells to fill) fill the kernel rows in parallel and then
+// the rows one subtree-height level at a time: the QoM of (s, t) depends
+// only on pairs whose source is a child of s — a strictly smaller subtree —
+// so the rows of one level are independent and fan out across the pool,
+// while a barrier between levels makes every lower level's cells visible
+// before the next level reads them. Each worker writes only the rows it
+// owns and scores labels through its own NameMatcher (the thesaurus is
+// shared read-only, the memo caches are per worker). Either schedule stops
+// between rows or levels once Done fires, leaving the rest uncomputed.
+//
+// Only a whole-table fill records the intern and pair-table spans; a
+// re-match reports its rescoring in its own rematch span.
+func (m *Matcher) sweep(r *Result, rows, cols []int32) {
+	nr, nc := len(r.srcNodes), len(r.tgtNodes)
+	if rows != nil {
+		nr = len(rows)
+	}
+	if cols != nil {
+		nc = len(cols)
+	}
+	cells := int64(nr) * int64(nc)
+	par := m.parallelism()
+	if cells < parallelCutoff {
+		par = 1
+	}
+	tr := m.Trace
+	if rows != nil || cols != nil {
+		tr = nil
+	}
+
+	// Goroutine labels make the worker fan-out legible in CPU profiles:
+	// `go tool pprof -tags` splits samples by workload (root-label pair)
+	// and phase (kernel vs pairtable). Labels set at spawn time are
+	// inherited by the child goroutines, so one Do per phase covers the
+	// whole pool.
+	var workload string
+	if par > 1 {
+		workload = r.Source.Label + "->" + r.Target.Label
+	}
+	sp := tr.StartSpan(obs.PhaseIntern)
+	if par > 1 {
+		pprof.Do(context.Background(),
+			pprof.Labels("qmatch_workload", workload, "qmatch_phase", "kernel"),
+			func(context.Context) { m.buildKernel(r, cells, par) })
 	} else {
-		if !m.noKernel {
-			sp := m.Trace.StartSpan(obs.PhaseIntern)
-			r.kern = newKernelFrom(m.interned(src, r.srcNodes), m.interned(tgt, r.tgtNodes), r.buf)
-			r.kern.fill(m.Names)
-			if sp != nil {
-				sp.SetNodes(len(r.kern.src.Labels), len(r.kern.tgt.Labels))
-				sp.SetCells(r.kern.logicalCells())
-				sp.SetWorkers(1)
-			}
-			sp.End()
-		}
-		sp := m.Trace.StartSpan(obs.PhasePairTable)
+		m.buildKernel(r, cells, 1)
+	}
+	if sp != nil && r.kern != nil {
+		sp.SetNodes(len(r.kern.src.Labels), len(r.kern.tgt.Labels))
+		sp.SetCells(r.kern.logicalCells())
+		sp.SetWorkers(par)
+	}
+	sp.End()
+
+	sp = tr.StartSpan(obs.PhasePairTable)
+	w := m.Weights.Normalized()
+	partial := false
+	if par == 1 {
 		tw := &treeWorker{m: m, names: m.Names, r: r, w: w}
-		partial := false
-		// Descending pre-order: children precede their parents, so every
-		// row a parent's children axis reads is complete before the parent
-		// row starts — the iterative equivalent of the old recursion, with
-		// the same between-rows abort points.
-		for i := len(r.srcNodes) - 1; i >= 0; i-- {
+		for k := 0; k < nr; k++ {
 			if m.aborted() {
 				partial = true
 				break
 			}
-			tw.computeRow(i)
+			i := len(r.srcNodes) - 1 - k
+			if rows != nil {
+				i = int(rows[k])
+			}
+			tw.computeCols(i, cols)
 		}
-		if sp != nil {
-			sp.SetNodes(len(r.srcNodes), len(r.tgtNodes))
-			sp.SetWorkers(1)
-			sp.SetCells(r.filled(partial))
-			if partial {
-				sp.MarkPartial()
+	} else {
+		pprof.Do(context.Background(),
+			pprof.Labels("qmatch_workload", workload, "qmatch_phase", "pairtable"),
+			func(context.Context) { partial = m.sweepLevels(r, rows, cols, w, par, sp) })
+	}
+	if sp != nil {
+		sp.SetNodes(len(r.srcNodes), len(r.tgtNodes))
+		sp.SetWorkers(par)
+		sp.SetCells(r.filled(partial))
+		if partial {
+			sp.MarkPartial()
+		}
+	}
+	sp.End()
+	if r.done[0] { // cell (0, 0): the two roots
+		r.Root = r.table[0]
+	}
+}
+
+// buildKernel interns both sides and fills the similarity kernel over par
+// workers when the cells to fill outnumber the label pairs (see sweep);
+// otherwise r.kern stays nil and the fill scores cells directly.
+func (m *Matcher) buildKernel(r *Result, cells int64, par int) {
+	si, ti := m.interned(r.Source, r.srcNodes), m.interned(r.Target, r.tgtNodes)
+	if cells >= int64(len(si.Labels))*int64(len(ti.Labels)) {
+		r.kern = newKernelFrom(si, ti, r.buf)
+		r.kern.fill(m.Names, par)
+	}
+}
+
+// sweepLevels is the several-worker schedule of sweep: the given rows
+// grouped by subtree height, ascending, each level fanned out over par
+// workers with a barrier between levels. It reports whether Done cut the
+// sweep short.
+func (m *Matcher) sweepLevels(r *Result, rows, cols []int32, w AxisWeights, par int, sp *obs.ActiveSpan) bool {
+	// Subtree heights: srcNodes is in pre-order, so children follow
+	// parents and a reverse sweep sees every child before its parent.
+	heights := make([]int, len(r.srcNodes))
+	maxH := 0
+	for i := len(r.srcNodes) - 1; i >= 0; i-- {
+		h := 0
+		for _, c := range r.srcKids[i] {
+			if ch := heights[c] + 1; ch > h {
+				h = ch
 			}
 		}
-		sp.End()
+		heights[i] = h
+		if h > maxH {
+			maxH = h
+		}
 	}
-	if idx := r.cell(src, tgt); idx >= 0 && r.done[idx] {
-		r.Root = r.table[idx]
+	levels := make([][]int32, maxH+1)
+	if rows == nil {
+		for i := range r.srcNodes {
+			levels[heights[i]] = append(levels[heights[i]], int32(i))
+		}
+	} else {
+		for _, i := range rows {
+			levels[heights[i]] = append(levels[heights[i]], i)
+		}
 	}
-	return r
+	nc := len(r.tgtNodes)
+	if cols != nil {
+		nc = len(cols)
+	}
+
+	// Worker 0 scores through m.Names itself (the caller blocks until the
+	// sweep ends, and a kernel-less re-match fill profits from its warm
+	// memos); the others through clones.
+	workers := make([]*treeWorker, par)
+	for i := range workers {
+		names := m.Names
+		if i > 0 {
+			names = m.Names.Clone()
+		}
+		workers[i] = &treeWorker{m: m, names: names, r: r, w: w}
+	}
+	for li, level := range levels {
+		if m.aborted() {
+			return true
+		}
+		if len(level) == 0 {
+			continue
+		}
+		n := min2(len(workers), len(level))
+		// One child span per height level: the per-level breakdown shows
+		// which stratum of the fill dominates (the wide leaf levels of a
+		// bushy schema vs the few expensive rows near the root).
+		lsp := sp.Child(obs.PhaseLevel)
+		lsp.SetLevel(li + 1)
+		lsp.SetNodes(len(level), len(r.tgtNodes))
+		lsp.SetCells(int64(len(level)) * int64(nc))
+		lsp.SetWorkers(n)
+		jobs := make(chan int32, len(level))
+		for _, si := range level {
+			jobs <- si
+		}
+		close(jobs)
+		var wg sync.WaitGroup
+		for _, tw := range workers[:n] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for si := range jobs {
+					if m.aborted() {
+						return
+					}
+					tw.computeCols(int(si), cols)
+				}
+			}()
+		}
+		wg.Wait()
+		if m.aborted() {
+			lsp.MarkPartial()
+		}
+		lsp.End()
+	}
+	return m.aborted()
 }
 
 // interned resolves the vocabulary of one side: the Interner's
@@ -289,136 +449,10 @@ func (m *Matcher) parallelism() int {
 	}
 }
 
-// treeParallel fills the pair table bottom-up over source-subtree height.
-// The QoM of (s, t) depends only on pairs whose source is a child of s —
-// a strictly smaller subtree — so all rows of one height level are
-// independent of each other and are fanned out across the worker pool;
-// a barrier between levels makes every lower level's cells visible before
-// the next level reads them. Within a level each worker writes only the
-// rows it owns. Workers score labels through clones of m.Names: the
-// thesaurus is shared read-only, the memo caches are per-worker.
-func (m *Matcher) treeParallel(r *Result, w AxisWeights, par int) {
-	// Group source nodes by subtree height, ascending. srcNodes is in
-	// pre-order, so children follow parents and a reverse sweep sees
-	// every child before its parent.
-	heights := make([]int, len(r.srcNodes))
-	maxH := 0
-	for i := len(r.srcNodes) - 1; i >= 0; i-- {
-		h := 0
-		for _, c := range r.srcKids[i] {
-			if ch := heights[c] + 1; ch > h {
-				h = ch
-			}
-		}
-		heights[i] = h
-		if h > maxH {
-			maxH = h
-		}
-	}
-	levels := make([][]int32, maxH+1)
-	for i := range r.srcNodes {
-		levels[heights[i]] = append(levels[heights[i]], int32(i))
-	}
-
-	workers := make([]*treeWorker, par)
-	for i := range workers {
-		workers[i] = &treeWorker{m: m, names: m.Names.Clone(), r: r, w: w}
-	}
-	// Goroutine labels make the worker fan-out legible in CPU profiles:
-	// `go tool pprof -tags` splits samples by workload (root-label pair)
-	// and phase (kernel vs pairtable). Labels set at spawn time are
-	// inherited by the child goroutines, so one Do per phase covers the
-	// whole pool.
-	workload := r.Source.Label + "->" + r.Target.Label
-	// Fill the interned similarity kernel first, fanning matrix rows over
-	// the same worker pool; the level sweep below then reads it freely.
-	if !m.noKernel {
-		sp := m.Trace.StartSpan(obs.PhaseIntern)
-		pprof.Do(context.Background(),
-			pprof.Labels("qmatch_workload", workload, "qmatch_phase", "kernel"),
-			func(context.Context) {
-				r.kern = newKernelFrom(m.interned(r.Source, r.srcNodes), m.interned(r.Target, r.tgtNodes), r.buf)
-				r.kern.fillParallel(m.Names, len(workers))
-			})
-		if sp != nil {
-			sp.SetNodes(len(r.kern.src.Labels), len(r.kern.tgt.Labels))
-			sp.SetCells(r.kern.logicalCells())
-			sp.SetWorkers(len(workers))
-		}
-		sp.End()
-	}
-	sp := m.Trace.StartSpan(obs.PhasePairTable)
-	partial := false
-	for li, level := range levels {
-		if m.aborted() {
-			partial = true
-			break
-		}
-		n := len(workers)
-		if n > len(level) {
-			n = len(level)
-		}
-		// One child span per height level: the per-level breakdown shows
-		// which stratum of the fill dominates (the wide leaf levels of a
-		// bushy schema vs the few expensive rows near the root).
-		lsp := sp.Child(obs.PhaseLevel)
-		lsp.SetLevel(li + 1)
-		lsp.SetNodes(len(level), len(r.tgtNodes))
-		lsp.SetCells(int64(len(level)) * int64(len(r.tgtNodes)))
-		lsp.SetWorkers(n)
-		jobs := make(chan int32, len(level))
-		for _, si := range level {
-			jobs <- si
-		}
-		close(jobs)
-		var wg sync.WaitGroup
-		pprof.Do(context.Background(),
-			pprof.Labels("qmatch_workload", workload, "qmatch_phase", "pairtable"),
-			func(context.Context) {
-				for i := 0; i < n; i++ {
-					tw := workers[i]
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for si := range jobs {
-							if tw.m.aborted() {
-								return
-							}
-							tw.computeRow(int(si))
-						}
-					}()
-				}
-			})
-		wg.Wait()
-		if m.aborted() {
-			lsp.MarkPartial()
-		}
-		lsp.End()
-	}
-	partial = partial || m.aborted()
-	if sp != nil {
-		sp.SetNodes(len(r.srcNodes), len(r.tgtNodes))
-		sp.SetWorkers(len(workers))
-		sp.SetCells(r.filled(partial))
-		if partial {
-			sp.MarkPartial()
-		}
-	}
-	sp.End()
-}
-
 // MatchNodes computes the QoM of a single subtree pair.
 func (m *Matcher) MatchNodes(s, t *xmltree.Node) QoM {
-	r := newResult(s, t)
-	if !m.noKernel {
-		r.kern = newKernelFrom(m.interned(s, r.srcNodes), m.interned(t, r.tgtNodes), r.buf)
-		r.kern.fill(m.Names)
-	}
-	tw := &treeWorker{m: m, names: m.Names, r: r, w: m.Weights.Normalized()}
-	for i := len(r.srcNodes) - 1; i >= 0; i-- {
-		tw.computeRow(i)
-	}
-	q := r.table[0] // cell (0, 0): the (s, t) root pair
+	r := m.Tree(s, t)
+	q := r.Root
 	r.Release()
 	return q
 }
@@ -432,22 +466,16 @@ type treeWorker struct {
 	w     AxisWeights
 }
 
-// computeRow fills source row i of the pair table. It is the iterative
-// form of pair(): because rows are computed in an order where every child
-// row precedes its parent's (descending pre-order sequentially, ascending
-// subtree height in parallel), the children axis reads completed rows by
-// index instead of recursing — no per-cell map lookups, no QoM copies up
-// a call stack, no node-pointer chasing. Cell values are bit-identical to
-// the recursive computation; the equivalence and cancellation tests pin
-// this.
-func (tw *treeWorker) computeRow(i int) { tw.computeCols(i, nil) }
-
 // computeCols fills the given target columns of source row i (nil = every
-// column). The incremental re-match uses the subset form: columns whose
-// target subtree is unchanged are copied from the previous table, and only
-// the dirty columns are recomputed — valid in any row order satisfying the
-// children-before-parents discipline, because copied columns are complete
-// for all rows before the sweep starts.
+// column). Rows are filled in an order where every child row precedes its
+// parent's (descending pre-order on one worker, ascending subtree height
+// on several), so the children axis reads completed rows by index instead
+// of recursing — no per-cell map lookups, no QoM copies up a call stack,
+// no node-pointer chasing. The column subset serves the incremental
+// re-match: clean columns are copied from the previous table before the
+// sweep starts, so they are complete for every row. Cell values are
+// bit-identical to the recursive reference fill the equivalence and
+// cancellation tests compare against.
 func (tw *treeWorker) computeCols(i int, cols []int32) {
 	r := tw.r
 	mcols := len(r.tgtNodes)
@@ -481,7 +509,9 @@ func (tw *treeWorker) computeCols(i int, cols []int32) {
 		}
 
 		if sLeaf && r.tgtLeaf[j] {
-			// Leaf match (Eq. 2): see pair().
+			// Leaf match (Eq. 2): label and properties compared; level
+			// and children match exactly by default — the constant
+			// C = WH + WC.
 			q.Leaf = true
 			q.LevelExact = true
 			q.Level = 1
@@ -500,11 +530,26 @@ func (tw *treeWorker) computeCols(i int, cols []int32) {
 			if q.LevelExact {
 				q.Level = 1
 			}
-			// Children axis (Eq. 3–5): identical candidate set and
-			// threshold/coverage rules as pair(), reading finished rows.
-			// Only the best candidate's index is tracked; its Class is
-			// read once at the end (the zero Class when nothing beat the
-			// zero QoM, exactly as pair()'s `var best QoM` behaves).
+			// Children axis (Eq. 3–5): each source child contributes its
+			// best-matching target candidate when that match clears the
+			// threshold. Candidates are the target's children plus the
+			// target node itself — the paper's §2.2 walkthrough matches
+			// the source child PurchaseInfo against the target *root*
+			// Purchase Order, so a source nested one level deeper than
+			// the target can still achieve coverage.
+			//
+			// Two notions are tracked separately. The *quantitative*
+			// Rw/Rs follow Fig. 3's threshold on the QoM value, which
+			// lets pure structural agreement propagate (the Fig. 9
+			// behaviour). The *qualitative* coverage classification
+			// (total/partial, §2.1) additionally requires the child's
+			// best pair not to classify as NoMatch — a label-less
+			// structural coincidence contributes weight but does not
+			// make a child "have a match". Only the best candidate's
+			// index is tracked; its Class is read once at the end (the
+			// zero Class when nothing beat the zero QoM). The threshold
+			// carries an epsilon for a child sitting exactly at it under
+			// inexact float sums.
 			sum := 0.0
 			count := 0
 			covered := 0
@@ -558,123 +603,6 @@ func (tw *treeWorker) computeCols(i int, cols []int32) {
 		q.classify()
 		r.done[base+j] = true
 	}
-}
-
-// pair computes (or returns the memoized) QoM of one node pair — the
-// recursive reference form of computeRow, kept as the post-fill accessor:
-// a node foreign to the matched trees yields the zero QoM instead of
-// panicking on a bogus table index.
-func (tw *treeWorker) pair(s, t *xmltree.Node) QoM {
-	r := tw.r
-	i, ok := r.srcIdx[s]
-	if !ok {
-		return QoM{}
-	}
-	j, ok := r.tgtIdx[t]
-	if !ok {
-		return QoM{}
-	}
-	idx := i*len(r.tgtNodes) + j
-	if r.done[idx] {
-		return r.table[idx]
-	}
-	// Break recursive-schema cycles defensively: mark in-progress pairs
-	// with the zero entry (schema trees are acyclic, so this only guards
-	// against malformed input). The table slab is pooled and arrives
-	// dirty, so the zero entry is written explicitly.
-	r.done[idx] = true
-	r.table[idx] = QoM{}
-
-	var q QoM
-	if k := r.kern; k != nil {
-		q.Label, q.LabelKind = k.labelAt(i, j)
-		q.Properties, q.PropertiesKind = k.propAt(i, j)
-	} else {
-		q.Label, q.LabelKind = tw.names.Match(s.Label, t.Label)
-		pq := MatchProperties(s.Props, t.Props)
-		q.Properties, q.PropertiesKind = pq.Score, pq.Kind
-	}
-
-	if s.IsLeaf() && t.IsLeaf() {
-		// Leaf match (Eq. 2): label and properties compared; level and
-		// children match exactly by default — the constant C = WH + WC.
-		q.Leaf = true
-		q.LevelExact = true
-		q.Level = 1
-		q.SubtreeWeight, q.CardinalityRatio = 1, 1
-		q.Children = 1
-		q.Coverage = Total
-		q.ChildrenAllExact = true
-	} else {
-		q.LevelExact = levelEqual(s, t)
-		if q.LevelExact {
-			q.Level = 1
-		}
-		// Children axis (Eq. 3–5): each source child contributes its
-		// best-matching target candidate when that match clears the
-		// threshold. Candidates are the target's children plus the
-		// target node itself — the paper's §2.2 walkthrough matches
-		// the source child PurchaseInfo against the target *root*
-		// Purchase Order, so a source nested one level deeper than
-		// the target can still achieve coverage.
-		//
-		// Two notions are tracked separately. The *quantitative* Rw/Rs
-		// follow Fig. 3's threshold on the QoM value, which lets pure
-		// structural agreement propagate (the Fig. 9 behaviour). The
-		// *qualitative* coverage classification (total/partial, §2.1)
-		// additionally requires the child's best pair not to classify
-		// as NoMatch — a label-less structural coincidence contributes
-		// weight but does not make a child "have a match".
-		sum := 0.0
-		count := 0
-		covered := 0
-		allExact := true
-		for _, cs := range s.Children {
-			var best QoM
-			for _, ct := range t.Children {
-				cq := tw.pair(cs, ct)
-				if cq.Value > best.Value {
-					best = cq
-				}
-			}
-			if !cs.IsLeaf() {
-				if cq := tw.pair(cs, t); cq.Value > best.Value {
-					best = cq
-				}
-			}
-			// Epsilon guards the common case of a child sitting
-			// exactly at the threshold under inexact float sums.
-			if best.Value >= tw.m.Threshold-1e-9 {
-				sum += best.Value
-				count++
-				if best.Class != NoMatch {
-					covered++
-					if best.Class != TotalExact {
-						allExact = false
-					}
-				}
-			}
-		}
-		if n := len(s.Children); n > 0 {
-			q.SubtreeWeight = sum / float64(n)
-			q.CardinalityRatio = float64(count) / float64(n)
-			switch {
-			case covered == n:
-				q.Coverage = Total
-			case covered > 0:
-				q.Coverage = Partial
-			}
-		}
-		q.Children = (q.SubtreeWeight + q.CardinalityRatio) / 2
-		q.ChildrenAllExact = allExact && covered > 0
-	}
-
-	q.Value = tw.w.Label*q.Label + tw.w.Properties*q.Properties +
-		tw.w.Level*q.Level + tw.w.Children*q.Children
-	q.classify()
-
-	r.table[idx] = q
-	return q
 }
 
 // levelEqual implements the level axis (QoMH). The paper compares nesting

@@ -110,7 +110,10 @@ func (r *Result) complete() bool {
 // the columns of clean target subtrees from prev and rescoring only dirty
 // columns. The resulting table is equal to m.Tree(prev.Source, newTgt);
 // prev is read, never mutated, and stays valid. A released or partial prev
-// degrades to a full fill (Stats.Full).
+// degrades to a full fill (Stats.Full). The dirty cells go through the same
+// sweep as Tree, so they honour Parallelism and Done alike: a fill cut short
+// by Done returns a partial table (its filled cells equal a full fill's)
+// that cannot seed a later re-match.
 func (m *Matcher) RematchTarget(prev *Result, newTgt *xmltree.Node) (*Result, RematchStats) {
 	if !prev.complete() {
 		r := m.Tree(prev.Source, newTgt)
@@ -118,7 +121,6 @@ func (m *Matcher) RematchTarget(prev *Result, newTgt *xmltree.Node) (*Result, Re
 			DirtyNodes: len(r.tgtNodes), Full: true}
 	}
 	r := newResult(prev.Source, newTgt)
-	w := m.Weights.Normalized()
 	sp := m.Trace.StartSpan(obs.PhaseRematch)
 	oldIdx, clean := alignSide(prev.tgtNodes, prev.tgtKids, r.tgtNodes, r.tgtKids)
 
@@ -128,8 +130,8 @@ func (m *Matcher) RematchTarget(prev *Result, newTgt *xmltree.Node) (*Result, Re
 	// then copy row-major: one memmove per run per row instead of a strided
 	// cell-by-cell walk down each column, which on large tables costs more
 	// than the fill it replaces. doneRow is the per-row done template —
-	// true over clean columns, false over dirty ones (computeCols sets
-	// those as it fills them).
+	// true over clean columns, false over dirty ones (the sweep sets those
+	// as it fills them).
 	type copyRun struct{ newStart, oldStart, len int }
 	var runs []copyRun
 	dirty := make([]int32, 0, mNew)
@@ -156,23 +158,7 @@ func (m *Matcher) RematchTarget(prev *Result, newTgt *xmltree.Node) (*Result, Re
 		}
 		copy(r.done[nb:nb+mNew], doneRow)
 	}
-	// The dense kernel scores every vocabulary pair up front, which only
-	// amortizes when the rescored cells outnumber the label pairs. A
-	// typical delta dirties a handful of columns — score those cells
-	// directly through the name matcher instead of refilling the kernel.
-	if !m.noKernel {
-		si := m.interned(r.Source, r.srcNodes)
-		ti := m.interned(newTgt, r.tgtNodes)
-		if int64(n)*int64(len(dirty)) >= int64(len(si.Labels))*int64(len(ti.Labels)) {
-			r.kern = newKernelFrom(si, ti, r.buf)
-			r.kern.fill(m.Names)
-		}
-	}
-	tw := &treeWorker{m: m, names: m.Names, r: r, w: w}
-	for i := n - 1; i >= 0; i-- {
-		tw.computeCols(i, dirty)
-	}
-	r.Root = r.table[0]
+	m.sweep(r, nil, dirty)
 
 	stats := RematchStats{
 		CopiedCells:   int64(n) * int64(mNew-len(dirty)),
@@ -198,48 +184,33 @@ func (m *Matcher) RematchSource(prev *Result, newSrc *xmltree.Node) (*Result, Re
 			DirtyNodes: len(r.srcNodes), Full: true}
 	}
 	r := newResult(newSrc, prev.Target)
-	w := m.Weights.Normalized()
 	sp := m.Trace.StartSpan(obs.PhaseRematch)
 	oldIdx, clean := alignSide(prev.srcNodes, prev.srcKids, r.srcNodes, r.srcKids)
 
 	n, mcols := len(r.srcNodes), len(r.tgtNodes)
-	dirtyRows := 0
-	for i := 0; i < n; i++ {
-		if !clean[i] {
-			dirtyRows++
-		}
-	}
-	// Same kernel-amortization rule as RematchTarget: refill the dense
-	// kernel only when the rescored cells outnumber the vocabulary pairs.
-	if !m.noKernel {
-		si := m.interned(newSrc, r.srcNodes)
-		ti := m.interned(r.Target, r.tgtNodes)
-		if int64(dirtyRows)*int64(mcols) >= int64(len(si.Labels))*int64(len(ti.Labels)) {
-			r.kern = newKernelFrom(si, ti, r.buf)
-			r.kern.fill(m.Names)
-		}
-	}
 	trueRow := make([]bool, mcols)
 	for j := range trueRow {
 		trueRow[j] = true
 	}
-	tw := &treeWorker{m: m, names: m.Names, r: r, w: w}
+	// Copy the clean rows up front; the dirty ones, collected in
+	// descending pre-order, are the rows the sweep fills.
+	dirty := make([]int32, 0, n)
 	for i := n - 1; i >= 0; i-- {
-		if clean[i] {
-			oi := int(oldIdx[i])
-			copy(r.table[i*mcols:(i+1)*mcols], prev.table[oi*mcols:(oi+1)*mcols])
-			copy(r.done[i*mcols:(i+1)*mcols], trueRow)
-		} else {
-			tw.computeRow(i)
+		if !clean[i] {
+			dirty = append(dirty, int32(i))
+			continue
 		}
+		oi := int(oldIdx[i])
+		copy(r.table[i*mcols:(i+1)*mcols], prev.table[oi*mcols:(oi+1)*mcols])
+		copy(r.done[i*mcols:(i+1)*mcols], trueRow)
 	}
-	r.Root = r.table[0]
+	m.sweep(r, dirty, nil)
 
 	stats := RematchStats{
-		CopiedCells:   int64(n-dirtyRows) * int64(mcols),
-		RescoredCells: int64(dirtyRows) * int64(mcols),
-		CleanNodes:    n - dirtyRows,
-		DirtyNodes:    dirtyRows,
+		CopiedCells:   int64(n-len(dirty)) * int64(mcols),
+		RescoredCells: int64(len(dirty)) * int64(mcols),
+		CleanNodes:    n - len(dirty),
+		DirtyNodes:    len(dirty),
 	}
 	if sp != nil {
 		sp.SetNodes(n, mcols)

@@ -6,6 +6,7 @@ import (
 
 	"qmatch/internal/dataset"
 	"qmatch/internal/obs"
+	"qmatch/internal/synth"
 	"qmatch/internal/xmltree"
 )
 
@@ -175,5 +176,99 @@ func TestRematchChain(t *testing.T) {
 			t.Fatalf("step %d (%s): chain degraded to full re-match", step, evo.name)
 		}
 		prev, tgt = got, next
+	}
+}
+
+// rematchScale returns a large and a small synthetic schema. Matching one
+// against the other and evolving the small side rescores every dirty
+// column (or row) across the whole large side — more than parallelCutoff
+// cells, so a rematch with Parallelism beyond 1 takes the level fan-out.
+func rematchScale() (large, small *xmltree.Node) {
+	large = synth.Generate(synth.Config{Seed: 11, Elements: 2500, MaxDepth: 5, MaxChildren: 8})
+	small = synth.Generate(synth.Config{Seed: 12, Elements: 60, MaxDepth: 4, MaxChildren: 6})
+	return large, small
+}
+
+// The evolution suites once more with a parallel matcher on a workload
+// above parallelCutoff rescored cells: dirty columns (target side) and
+// dirty rows (source side) go through the height-level fan-out and must
+// still equal a sequential full re-match.
+func TestRematchParallelEquivalence(t *testing.T) {
+	large, small := rematchScale()
+	check := func(t *testing.T, got, want *Result, stats RematchStats) {
+		t.Helper()
+		if stats.Full || stats.CopiedCells == 0 || stats.RescoredCells < parallelCutoff {
+			t.Fatalf("want an incremental rematch of at least %d rescored cells, got %+v", parallelCutoff, stats)
+		}
+		if !reflect.DeepEqual(got.table, want.table) {
+			t.Fatal("parallel rematched table differs from full re-match")
+		}
+		if got.Root != want.Root {
+			t.Fatalf("rematched root %+v, full root %+v", got.Root, want.Root)
+		}
+		got.Release()
+		want.Release()
+	}
+	for _, evo := range evolutions {
+		t.Run("target/"+evo.name, func(t *testing.T) {
+			newTgt := small.Clone()
+			evo.mutate(t, newTgt)
+			m := NewMatcher(nil)
+			m.Parallelism = 4
+			prev := m.Tree(large, small)
+			got, stats := m.RematchTarget(prev, newTgt)
+			prev.Release()
+			check(t, got, NewMatcher(nil).Tree(large, newTgt), stats)
+		})
+		t.Run("source/"+evo.name, func(t *testing.T) {
+			newSrc := small.Clone()
+			evo.mutate(t, newSrc)
+			m := NewMatcher(nil)
+			m.Parallelism = 4
+			prev := m.Tree(small, large)
+			got, stats := m.RematchSource(prev, newSrc)
+			prev.Release()
+			check(t, got, NewMatcher(nil).Tree(newSrc, large), stats)
+		})
+	}
+}
+
+// A rematch whose Done signal is already closed stops before rescoring:
+// it returns a partial table — the copied cells, each equal to a full
+// fill's — that cannot seed a later rematch, on either schedule.
+func TestRematchCancelledPartial(t *testing.T) {
+	large, small := rematchScale()
+	newTgt := small.Clone()
+	leafAt(newTgt, 3).Label = "CompletelyRenamedElement"
+	full := NewMatcher(nil).Tree(large, newTgt)
+	done := make(chan struct{})
+	close(done)
+	for _, par := range []int{1, 4} {
+		prev := NewMatcher(nil).Tree(large, small)
+		m := NewMatcher(nil)
+		m.Parallelism = par
+		m.Done = done
+		got, stats := m.RematchTarget(prev, newTgt)
+		filled, missing := 0, 0
+		for idx, ok := range got.done {
+			if !ok {
+				missing++
+				continue
+			}
+			filled++
+			if got.table[idx] != full.table[idx] {
+				t.Fatalf("parallelism %d: cell %d diverges from a full fill", par, idx)
+			}
+		}
+		if int64(filled) != stats.CopiedCells || int64(missing) != stats.RescoredCells {
+			t.Fatalf("parallelism %d: %d filled / %d missing cells, want the %d copied / %d rescored of %+v",
+				par, filled, missing, stats.CopiedCells, stats.RescoredCells, stats)
+		}
+		if got.complete() {
+			t.Fatalf("parallelism %d: cancelled rematch reports a complete table", par)
+		}
+		if _, again := NewMatcher(nil).RematchTarget(got, newTgt); !again.Full {
+			t.Fatalf("parallelism %d: a partial rematch seeded another rematch: %+v", par, again)
+		}
 	}
 }

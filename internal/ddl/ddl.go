@@ -526,7 +526,7 @@ var sqlTypes = map[string]string{
 	"nchar": "string", "nvarchar": "string", "text": "string",
 	"tinytext": "string", "mediumtext": "string", "longtext": "string",
 	"clob": "string", "uuid": "string", "json": "string", "jsonb": "string",
-	"xml": "string",
+	"xml":     "string",
 	"decimal": "decimal", "numeric": "decimal", "money": "decimal",
 	"float": "float", "real": "float",
 	"double": "double",

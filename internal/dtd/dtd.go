@@ -326,18 +326,39 @@ func parseAttlist(decl string) (string, []attrDecl, error) {
 	return element, out, nil
 }
 
+// maxNodes bounds the tree a DTD may expand to. Content models that
+// reference the next element several times grow exponentially (ten levels
+// of three expand a 600-byte DTD to ~177k nodes), so the builder counts the
+// nodes it creates and fails once past the bound — the same bound the JSON
+// Schema front-end applies to $ref fan-out.
+const maxNodes = 1 << 16
+
 // builder expands declarations into the tree.
 type builder struct {
 	elements  map[string]*elementDecl
 	attrs     map[string][]attrDecl
 	expanding map[string]bool
+	nodes     int // nodes created so far, bounded by maxNodes
+}
+
+// newNode creates one tree node, failing once the DTD has expanded past
+// maxNodes.
+func (b *builder) newNode(label string, props xmltree.Properties) (*xmltree.Node, error) {
+	b.nodes++
+	if b.nodes > maxNodes {
+		return nil, fmt.Errorf("dtd: schema expands past %d nodes", maxNodes)
+	}
+	return xmltree.New(label, props), nil
 }
 
 func (b *builder) element(decl *elementDecl, props xmltree.Properties) (*xmltree.Node, error) {
 	if decl.pcdata && decl.content == nil {
 		props.Type = "string"
 	}
-	node := xmltree.New(decl.name, props)
+	node, err := b.newNode(decl.name, props)
+	if err != nil {
+		return nil, err
+	}
 	if b.expanding[decl.name] {
 		// Recursive content model: stop expansion.
 		return node, nil
@@ -359,7 +380,11 @@ func (b *builder) element(decl *elementDecl, props xmltree.Properties) (*xmltree
 		} else {
 			ap.Use = "optional"
 		}
-		node.Add(xmltree.New(a.name, ap))
+		attr, err := b.newNode(a.name, ap)
+		if err != nil {
+			return nil, err
+		}
+		node.Add(attr)
 	}
 	if decl.content != nil {
 		if err := b.attach(node, decl.content, false); err != nil {

@@ -1,6 +1,9 @@
 package dtd
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -240,5 +243,19 @@ func TestDTDToXSDMatching(t *testing.T) {
 	}
 	if root.Find("PO/PurchaseInfo/Lines/Quantity") == nil {
 		t.Fatal("expected path missing")
+	}
+}
+
+// A 600-byte DTD whose content models reference the next element three
+// times would expand to 177,145 nodes; the builder must refuse it with the
+// node bound error instead of building the tree.
+func TestExpansionBombRejected(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "bomb.dtd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ParseString(string(data), "")
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("expands past %d nodes", maxNodes)) {
+		t.Fatalf("ParseString(bomb) error = %v, want the %d-node bound", err, maxNodes)
 	}
 }

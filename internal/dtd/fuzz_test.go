@@ -39,7 +39,8 @@ func TestParseMangled(t *testing.T) {
 }
 
 // FuzzParseDTD drives the DTD parser with arbitrary document/root pairs.
-// The parser must stay total and any tree it accepts must be well-formed.
+// The parser must stay total and any tree it accepts must be well-formed
+// and within the node bound.
 func FuzzParseDTD(f *testing.F) {
 	f.Add(`<!ELEMENT PO (OrderNo, Lines)>
 <!ELEMENT OrderNo (#PCDATA)>
@@ -61,6 +62,9 @@ func FuzzParseDTD(f *testing.F) {
 		}
 		if tree.Label == "" {
 			t.Fatalf("parsed root has an empty label: %q root %q", data, root)
+		}
+		if size := tree.Size(); size > maxNodes {
+			t.Fatalf("tree grew past the node bound: %d nodes", size)
 		}
 	})
 }

@@ -95,8 +95,8 @@ func TestFinishClosesOpenSpansPartial(t *testing.T) {
 	}
 }
 
-// Spans begin and end on many goroutines at once (treeParallel's worker
-// pool); run with -race.
+// Spans begin and end on many goroutines at once (the pair-table sweep's
+// level workers); run with -race.
 func TestTraceConcurrent(t *testing.T) {
 	tr := NewTrace()
 	var wg sync.WaitGroup

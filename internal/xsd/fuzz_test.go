@@ -80,8 +80,9 @@ func TestRenderParseIdempotentOnCorpus(t *testing.T) {
 
 // FuzzParseXSD drives the schema parser with arbitrary documents. The
 // parser must be total (error or tree, never a panic), every parsed tree
-// must be well-formed, and one Render→Parse cycle must reach a fixpoint:
-// re-rendering the re-parsed tree reproduces the same tree.
+// must be well-formed and within the node bound, and one Render→Parse
+// cycle must reach a fixpoint: re-rendering the re-parsed tree reproduces
+// the same tree.
 func FuzzParseXSD(f *testing.F) {
 	f.Add(Render(dataset.PO1()))
 	f.Add(Render(dataset.PO2()))
@@ -107,6 +108,9 @@ func FuzzParseXSD(f *testing.F) {
 		})
 		if !ok {
 			t.Fatalf("parsed tree has an empty label: %q", data)
+		}
+		if size := tree.Size(); size > maxNodes {
+			t.Fatalf("tree grew past the node bound: %d nodes", size)
 		}
 		// Render can emit labels that do not re-parse (names are not
 		// escaped); when the cycle does re-parse, it must be a fixpoint.

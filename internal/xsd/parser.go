@@ -215,6 +215,13 @@ func ParseAll(r io.Reader) ([]*xmltree.Node, error) {
 	return roots, nil
 }
 
+// maxNodes bounds the tree a document may expand to. A chain of named
+// types each declaring several elements of the next grows exponentially
+// (ten levels of three expand a 2 KB document to ~150k nodes), so the
+// resolver counts the nodes it creates and fails once past the bound — the
+// same bound the JSON Schema front-end applies to $ref fan-out.
+const maxNodes = 1 << 16
+
 // resolver expands raw declarations into xmltree nodes, resolving named
 // type and ref lookups with a cycle guard for recursive types.
 type resolver struct {
@@ -225,6 +232,17 @@ type resolver struct {
 	groups       map[string]*xsdNamedGroup
 	attrGroups   map[string]*xsdAttributeGroup
 	expanding    map[string]bool // named complex types / groups on the stack
+	nodes        int             // nodes created so far, bounded by maxNodes
+}
+
+// newNode creates one tree node, failing once the document has expanded
+// past maxNodes.
+func (r *resolver) newNode(label string, props xmltree.Properties) (*xmltree.Node, error) {
+	r.nodes++
+	if r.nodes > maxNodes {
+		return nil, fmt.Errorf("xsd: schema expands past %d nodes", maxNodes)
+	}
+	return xmltree.New(label, props), nil
 }
 
 func newResolver(doc *xsdSchema) *resolver {
@@ -294,7 +312,10 @@ func (r *resolver) element(e *xsdElement, order int) (*xmltree.Node, error) {
 		return nil, err
 	}
 	props.Order = order
-	node := xmltree.New(decl.Name, props)
+	node, err := r.newNode(decl.Name, props)
+	if err != nil {
+		return nil, err
+	}
 
 	switch {
 	case decl.ComplexType != nil:
@@ -518,7 +539,11 @@ func (r *resolver) attachAttrs(node *xmltree.Node, attrs []xsdAttribute) error {
 		if props.Use == "optional" || props.Use == "" {
 			props.MinOccurs = 0
 		}
-		node.Add(xmltree.New(decl.Name, props))
+		attr, err := r.newNode(decl.Name, props)
+		if err != nil {
+			return err
+		}
+		node.Add(attr)
 	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package xsd
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -396,5 +399,19 @@ func TestParseListAndUnionTypes(t *testing.T) {
 	}
 	if got := root.Find("R/Flexible").Props.Type; got != "integer" {
 		t.Fatalf("union type = %q", got)
+	}
+}
+
+// A 2 KB chain of named types, each declaring three elements of the next,
+// would expand to 147,622 nodes; the resolver must refuse it with the node
+// bound error instead of building the tree.
+func TestExpansionBombRejected(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "bomb_chained_types.xsd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ParseString(string(data))
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("expands past %d nodes", maxNodes)) {
+		t.Fatalf("ParseString(bomb) error = %v, want the %d-node bound", err, maxNodes)
 	}
 }

@@ -140,8 +140,8 @@ func TestMetamorphicCrossFormatSwapSymmetry(t *testing.T) {
 		eng := newEngine(t, qmatch.WithAlgorithm(alg))
 		for seed := int64(1); seed <= 4; seed++ {
 			a, b := synthPairNoAttrs(t, seed)
-			sa := schemaOf(t, a)       // XSD rendering of a
-			jb := jsonSchemaOf(t, b)   // JSON-Schema rendering of b
+			sa := schemaOf(t, a)     // XSD rendering of a
+			jb := jsonSchemaOf(t, b) // JSON-Schema rendering of b
 			fwd := eng.Match(sa, jb)
 			rev := eng.Match(jb, sa)
 			if d := fwd.TreeQoM - rev.TreeQoM; d > 1e-9 || d < -1e-9 {
