@@ -377,7 +377,9 @@ func (e *Engine) MatchContext(ctx context.Context, src, tgt *Schema) (*Report, e
 func (e *Engine) QoM(src, tgt *Schema) QoMBreakdown {
 	h, release := e.hybrid(e.parallelism)
 	defer release()
-	q := h.Tree(src.root, tgt.root).Root
+	r := h.Tree(src.root, tgt.root)
+	q := r.Root
+	r.Release()
 	return QoMBreakdown{
 		Label:      q.Label,
 		Properties: q.Properties,
@@ -416,6 +418,7 @@ func (e *Engine) ExplainTop(src, tgt *Schema, n int) string {
 	h, release := e.hybrid(e.parallelism)
 	defer release()
 	res := h.Tree(src.root, tgt.root)
+	defer res.Release()
 	return h.Matcher.ExplainTop(res, n)
 }
 

@@ -22,7 +22,8 @@ func main() {
 	fmt.Println("--- Purchase Order schema (Figure 2) ---")
 	fmt.Print(tgt.Dump())
 
-	// The full pair table of the hybrid matcher.
+	// The full pair table of the hybrid matcher; Pair rebuilds each
+	// requested cell's per-axis breakdown from it.
 	m := core.NewMatcher(nil)
 	res := m.Tree(src, tgt)
 

@@ -13,6 +13,7 @@ import (
 	"qmatch/internal/dtd"
 	"qmatch/internal/infer"
 	"qmatch/internal/jsonschema"
+	"qmatch/internal/xmltree"
 )
 
 // ParseDTD reads a Document Type Definition and returns the schema rooted
@@ -139,6 +140,12 @@ const (
 // detected. Errors returned by DetectFormat and ParseAuto match it with
 // errors.Is and carry the sniffed input prefix in their message.
 var ErrUnknownFormat = errors.New("unknown schema format")
+
+// ErrSchemaTooLarge reports a schema document whose tree would expand past
+// the 65,536-node budget every front-end (XSD, DTD, XML inference, JSON
+// Schema) enforces while it builds the tree. Parse errors for such input
+// match it with errors.Is; qmatchd answers them with 413.
+var ErrSchemaTooLarge = xmltree.ErrTooLarge
 
 // UnknownFormatError is the typed detection failure: Prefix holds the
 // start of the (trimmed) input that no front-end recognized.

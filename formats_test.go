@@ -2,6 +2,7 @@ package qmatch_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -288,5 +289,46 @@ func TestLoadSchemaSniffed(t *testing.T) {
 	}
 	if _, err := qmatch.LoadSchema(junk); !errors.Is(err, qmatch.ErrUnknownFormat) {
 		t.Fatalf("junk load error = %v, want ErrUnknownFormat", err)
+	}
+}
+
+// Every front-end's node budget surfaces through the public parsers as
+// one typed error: the checked-in XSD and DTD expansion bombs, a $ref
+// fan-out JSON Schema, and an instance document of distinct elements.
+func TestSchemaTooLarge(t *testing.T) {
+	read := func(path ...string) string {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(path...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	var js strings.Builder
+	js.WriteString(`{"title": "Bomb", "$ref": "#/definitions/d0", "definitions": {`)
+	for i := 0; i < 20; i++ {
+		fmt.Fprintf(&js, `"d%d": {"type": "object", "properties": {"a": {"$ref": "#/definitions/d%d"}, "b": {"$ref": "#/definitions/d%d"}}},`, i, i+1, i+1)
+	}
+	js.WriteString(`"d20": {"type": "string"}}}`)
+	var doc strings.Builder
+	doc.WriteString("<r>")
+	for i := 0; i < 1<<16; i++ {
+		fmt.Fprintf(&doc, "<e%d/>", i)
+	}
+	doc.WriteString("</r>")
+
+	for name, parse := range map[string]func() (*qmatch.Schema, error){
+		"xsd": func() (*qmatch.Schema, error) {
+			return qmatch.ParseSchemaString(read("internal", "xsd", "testdata", "bomb_chained_types.xsd"))
+		},
+		"dtd": func() (*qmatch.Schema, error) {
+			return qmatch.ParseDTDString(read("internal", "dtd", "testdata", "bomb.dtd"), "")
+		},
+		"jsonschema": func() (*qmatch.Schema, error) { return qmatch.ParseJSONSchemaString(js.String()) },
+		"xml":        func() (*qmatch.Schema, error) { return qmatch.InferSchemaString(doc.String()) },
+	} {
+		if _, err := parse(); !errors.Is(err, qmatch.ErrSchemaTooLarge) {
+			t.Errorf("%s: error = %v, want qmatch.ErrSchemaTooLarge", name, err)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"qmatch/internal/core"
 	"qmatch/internal/cupid"
 	"qmatch/internal/dataset"
-	"qmatch/internal/lingo"
 	"qmatch/internal/linguistic"
 	"qmatch/internal/match"
 	"qmatch/internal/structural"
@@ -71,15 +70,10 @@ func AblationSelection() []AblationRow {
 	var rows []AblationRow
 	for _, p := range dataset.Pairs() {
 		res := hybrid.Tree(p.Source, p.Target)
-		var scored []match.ScoredPair
-		for _, pr := range res.Pairs() {
-			if pr.QoM.LabelKind == lingo.None {
-				continue // same gate as Hybrid.Match
-			}
-			scored = append(scored, match.ScoredPair{
-				Source: pr.Source, Target: pr.Target, Score: pr.QoM.Value,
-			})
-		}
+		// The same candidates Hybrid.Match selects from; both selections
+		// drop pairs below the threshold anyway.
+		scored := res.Candidates(hybrid.SelectionThreshold, hybrid.RequireLabelEvidence)
+		res.Release()
 		rows = append(rows, AblationRow{
 			Domain:  p.Name,
 			Default: match.Evaluate(match.Select(scored, hybrid.SelectionThreshold), p.Gold),

@@ -19,9 +19,11 @@ import (
 // work (DESIGN.md §5.1), the best wall-clock fill and full-match times, and
 // the allocation cost of one fill. Cells is n·m; LinguisticPairs is
 // |Lₛ|·|Lₜ| — the number of label pairs the kernel actually scores. FillMS
-// times the pair-table fill alone (Matcher.Tree); TotalMS adds the
-// selection pass on top, so TotalMS−FillMS is what the service pays beyond
-// the table. BestMS mirrors FillMS — it is the metric the CI perf
+// times the pair-table fill alone (Matcher.Tree); SelectMS times the
+// selection pass Hybrid.Match runs on top (candidate scan and one-to-one
+// selection); TotalMS times both in one run, so TotalMS−FillMS is what the
+// service pays beyond the table. Each is the best of its own repetitions.
+// BestMS mirrors FillMS — it is the metric the CI perf
 // regression gate compares against the committed baseline, so its name is
 // pinned. Allocs and Bytes count one warm fill (arena buffers pooled), the
 // numbers the arena allocator is accountable for.
@@ -35,12 +37,14 @@ type PairTableRow struct {
 	LinguisticPairs int     `json:"linguistic_pairs"`
 	BestMS          float64 `json:"best_ms"`
 	FillMS          float64 `json:"fill_ms"`
+	SelectMS        float64 `json:"select_ms"`
 	TotalMS         float64 `json:"total_ms"`
 	Allocs          int64   `json:"allocs"`
 	Bytes           int64   `json:"bytes"`
 
-	Best      time.Duration `json:"-"`
-	BestTotal time.Duration `json:"-"`
+	Best       time.Duration `json:"-"`
+	BestSelect time.Duration `json:"-"`
+	BestTotal  time.Duration `json:"-"`
 }
 
 // PairTable measures the full hybrid pair-table fill on every corpus
@@ -82,6 +86,9 @@ func PairTableFor(pairs []dataset.Pair, reps int) []PairTableRow {
 			if row.Best == 0 || fill < row.Best {
 				row.Best = fill
 			}
+			if sel := total - fill; row.BestSelect == 0 || sel < row.BestSelect {
+				row.BestSelect = sel
+			}
 			if row.BestTotal == 0 || total < row.BestTotal {
 				row.BestTotal = total
 			}
@@ -89,21 +96,19 @@ func PairTableFor(pairs []dataset.Pair, reps int) []PairTableRow {
 		row.Allocs, row.Bytes = fillAllocs(p)
 		row.BestMS = float64(row.Best) / float64(time.Millisecond)
 		row.FillMS = row.BestMS
+		row.SelectMS = float64(row.BestSelect) / float64(time.Millisecond)
 		row.TotalMS = float64(row.BestTotal) / float64(time.Millisecond)
 		rows = append(rows, row)
 	}
 	return rows
 }
 
-// selectPairs runs the one-to-one selection pass over a filled table —
-// the work TotalMS adds on top of FillMS, mirroring Hybrid.Match.
+// selectPairs runs the selection pass of a default Hybrid.Match over a
+// filled table — candidate scan under the label-evidence gate, then
+// one-to-one selection — the work SelectMS times.
 func selectPairs(r *core.Result) []match.Correspondence {
-	pairs := r.Pairs()
-	scored := make([]match.ScoredPair, 0, len(pairs))
-	for _, p := range pairs {
-		scored = append(scored, match.ScoredPair{Source: p.Source, Target: p.Target, Score: p.QoM.Value})
-	}
-	return match.Select(scored, 0.75)
+	const th = 0.75 // NewHybrid's SelectionThreshold
+	return match.Select(r.Candidates(th, true), th)
 }
 
 // fillAllocs measures the allocations of one warm pair-table fill: the
@@ -135,12 +140,12 @@ func uniqueLabels(nodes []*xmltree.Node) int {
 func FormatPairTable(rows []PairTableRow) string {
 	var b strings.Builder
 	b.WriteString("Extension: pair-table fill (cells vs interned linguistic pairs)\n")
-	fmt.Fprintf(&b, "%-14s %7s %7s %9s %10s %10s %10s %9s %12s\n",
-		"Workload", "SrcN", "TgtN", "Cells", "LingPairs", "Fill", "Total", "Allocs", "Bytes")
+	fmt.Fprintf(&b, "%-14s %7s %7s %9s %10s %10s %10s %10s %9s %12s\n",
+		"Workload", "SrcN", "TgtN", "Cells", "LingPairs", "Fill", "Select", "Total", "Allocs", "Bytes")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %7d %7d %9d %10d %10s %10s %9d %12d\n",
+		fmt.Fprintf(&b, "%-14s %7d %7d %9d %10d %10s %10s %10s %9d %12d\n",
 			r.Workload, r.SourceNodes, r.TargetNodes, r.Cells,
-			r.LinguisticPairs, r.Best, r.BestTotal, r.Allocs, r.Bytes)
+			r.LinguisticPairs, r.Best, r.BestSelect, r.BestTotal, r.Allocs, r.Bytes)
 	}
 	return b.String()
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"qmatch/internal/lingo"
 	"qmatch/internal/match"
 	"qmatch/internal/obs"
@@ -103,29 +105,19 @@ func (h *Hybrid) tree(src, tgt *xmltree.Node) *Result {
 func (h *Hybrid) Match(src, tgt *xmltree.Node) []match.Correspondence {
 	res := h.tree(src, tgt)
 	sp := h.Trace.StartSpan(obs.PhaseCandidates)
-	pairs := res.Pairs()
-	scored := make([]match.ScoredPair, 0, len(pairs))
-	for _, p := range pairs {
-		if h.RequireLabelEvidence && p.QoM.LabelKind == lingo.None {
-			continue
-		}
-		scored = append(scored, match.ScoredPair{Source: p.Source, Target: p.Target, Score: p.QoM.Value})
+	cands := res.Candidates(h.SelectionThreshold, h.RequireLabelEvidence)
+	if sp != nil {
+		sp.SetCells(res.filled())
+		sp.SetSelected(len(cands))
 	}
-	sp.SetCells(int64(len(pairs)))
-	sp.SetSelected(len(scored))
 	sp.End()
-	return match.SelectTraced(scored, h.SelectionThreshold, h.Trace)
+	return match.SelectTraced(cands, h.SelectionThreshold, h.Trace)
 }
 
 // Pairs returns the full QoM table as scored pairs — the granularity
 // composite matchers aggregate over.
 func (h *Hybrid) Pairs(src, tgt *xmltree.Node) []match.ScoredPair {
-	pairs := h.tree(src, tgt).Pairs()
-	out := make([]match.ScoredPair, len(pairs))
-	for i, p := range pairs {
-		out[i] = match.ScoredPair{Source: p.Source, Target: p.Target, Score: p.QoM.Value}
-	}
-	return out
+	return h.tree(src, tgt).Candidates(math.Inf(-1), false)
 }
 
 // TreeScore implements match.Algorithm.

@@ -7,24 +7,24 @@ import (
 )
 
 // Arena-style buffer reuse for the pair-table fill. A protein-sized match
-// allocates ~100 MB of dense state — the QoM table, done flags, kernel
-// score planes, and the per-side index structures of the iterative fill —
-// all of it with a lifetime of exactly one match. matchBuffers bundles
-// those slabs so one pool Get/Put recycles the whole set: a Result
-// acquires a buffer set at construction and returns it wholesale through
-// Release. Unreleased Results stay correct and are simply collected by
-// the GC (the pool never sees them); releasing is an optimization the
-// Engine, the Hybrid memo, and the benchmarks apply at their natural
-// end-of-match points.
+// allocates ~16 MB of dense state — the value and flag planes of the pair
+// table (~8 MB), the kernel score planes (~8 MB), and the per-side index
+// structures of the iterative fill — all of it with a lifetime of exactly
+// one match. matchBuffers bundles those slabs so one pool Get/Put recycles
+// the whole set: a Result acquires a buffer set at construction and
+// returns it wholesale through Release. Unreleased Results stay correct
+// and are simply collected by the GC (the pool never sees them); releasing
+// is an optimization the Engine, the Hybrid memo, and the benchmarks apply
+// at their natural end-of-match points.
 //
 // Reused slabs are NOT zeroed except where a reader could observe stale
-// data: done flags (they gate every table read) and the index maps (they
-// alias schema nodes). Table cells are written before the fill order lets
-// anything read them, and kernel planes only expose logical entries that
-// the fill always writes.
+// data: the flag plane (its done bits gate every table read) and the index
+// maps (they alias schema nodes). Values are written before the fill order
+// lets anything read them, and kernel planes only expose logical entries
+// that the fill always writes.
 type matchBuffers struct {
-	table  []QoM
-	done   []bool
+	val    []float64
+	flags  []uint8
 	kidIdx []int32
 	kids   [][]int32
 	levels []int32
@@ -52,16 +52,16 @@ func grow[T any](s []T, n int) []T {
 
 // acquireBuffers takes a buffer set from the pool and sizes it for an
 // n×m pair table, wiring the slabs into r. The index maps are cleared;
-// done flags are zeroed; everything else is raw capacity.
+// the flag plane is zeroed; everything else is raw capacity.
 func acquireBuffers(r *Result) *matchBuffers {
 	b := bufPool.Get().(*matchBuffers)
 	n, m := len(r.srcNodes), len(r.tgtNodes)
 	cells := n * m
 
-	b.table = grow(b.table, cells)
-	b.done = grow(b.done, cells)
-	clear(b.done)
-	r.table, r.done = b.table, b.done
+	b.val = grow(b.val, cells)
+	b.flags = grow(b.flags, cells)
+	clear(b.flags)
+	r.val, r.flags = b.val, b.flags
 
 	if b.srcIdx == nil {
 		b.srcIdx = make(map[*xmltree.Node]int, n)
@@ -107,7 +107,7 @@ func (r *Result) Release() {
 	// Drop node references so a pooled buffer does not pin schema trees.
 	clear(b.srcIdx)
 	clear(b.tgtIdx)
-	r.table, r.done = nil, nil
+	r.val, r.flags = nil, nil
 	r.srcIdx, r.tgtIdx = nil, nil
 	r.srcKids, r.tgtKids = nil, nil
 	r.srcLevels, r.tgtLevels = nil, nil

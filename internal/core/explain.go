@@ -41,10 +41,10 @@ func (m *Matcher) Explain(r *Result, s, t *xmltree.Node) string {
 		b.WriteString("  child contributions (best target per source child, threshold ")
 		fmt.Fprintf(&b, "%.2f):\n", m.Threshold)
 		for _, cs := range s.Children {
-			best, bt := QoM{}, (*xmltree.Node)(nil)
+			best, bt := 0.0, (*xmltree.Node)(nil)
 			consider := func(ct *xmltree.Node) {
-				if cq, ok := r.Pair(cs, ct); ok && cq.Value > best.Value {
-					best, bt = cq, ct
+				if v, ok := r.value(cs, ct); ok && v > best {
+					best, bt = v, ct
 				}
 			}
 			for _, ct := range t.Children {
@@ -56,10 +56,10 @@ func (m *Matcher) Explain(r *Result, s, t *xmltree.Node) string {
 			switch {
 			case bt == nil:
 				fmt.Fprintf(&b, "    %-30s -> (no candidate)\n", cs.Label)
-			case best.Value >= m.Threshold-1e-9:
-				fmt.Fprintf(&b, "    %-30s -> %-30s %.3f ✓\n", cs.Label, bt.Label, best.Value)
+			case best >= m.Threshold-1e-9:
+				fmt.Fprintf(&b, "    %-30s -> %-30s %.3f ✓\n", cs.Label, bt.Label, best)
 			default:
-				fmt.Fprintf(&b, "    %-30s -> %-30s %.3f below threshold\n", cs.Label, bt.Label, best.Value)
+				fmt.Fprintf(&b, "    %-30s -> %-30s %.3f below threshold\n", cs.Label, bt.Label, best)
 			}
 		}
 	}

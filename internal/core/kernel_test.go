@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -9,10 +10,10 @@ import (
 	"qmatch/internal/xmltree"
 )
 
-// tableOf recomputes a pair table with the given matcher and returns the
-// raw dense table for bit-identical comparison.
+// tableOf recomputes a pair table with the given matcher and returns every
+// cell's full QoM, rebuilt from the plane, for bit-identical comparison.
 func tableOf(m *Matcher, src, tgt *xmltree.Node) []QoM {
-	return m.Tree(src, tgt).table
+	return rebuiltTable(m.Tree(src, tgt))
 }
 
 // The interned kernel and the row sweep must not change a single bit of any
@@ -91,7 +92,7 @@ func TestTopPairsMatchesSort(t *testing.T) {
 		NewMatcher(nil).Tree(wide("L", 20), wide("R", 20)),
 	}
 	for ri, r := range results {
-		for _, n := range []int{1, 3, 10, 57, len(r.table), len(r.table) + 100} {
+		for _, n := range []int{1, 3, 10, 57, len(r.flags), len(r.flags) + 100} {
 			got := r.TopPairs(n)
 			want := topPairsReference(r, n)
 			if !reflect.DeepEqual(got, want) {
@@ -125,5 +126,33 @@ func TestTreeAllocsBounded(t *testing.T) {
 	})
 	if allocs > 700 {
 		t.Errorf("DCMD Tree+Release = %.0f allocs/run, regression ceiling is 700", allocs)
+	}
+}
+
+// Bytes regression gate for the post-fill path. A warm DCMD Hybrid.Match
+// (fill, candidate scan, selection) plus ResetCache allocates ~75 KB: the
+// arena serves the pair table and selection reads the value plane
+// directly. Materializing the table again — even only a ScoredPair copy
+// of all 2,014 cells, 48 KB — trips the 100 KB ceiling; the PairQoM
+// route this replaced cost ~380 KB.
+func TestHybridMatchAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race mode drops sync.Pool entries, reallocating the pooled table")
+	}
+	const ceiling = 100_000
+	p := dataset.DCMDPair()
+	h := NewHybrid(nil)
+	h.Match(p.Source, p.Target) // warm memo caches and the buffer pool
+	h.ResetCache()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		h.Match(p.Source, p.Target)
+		h.ResetCache()
+	}
+	runtime.ReadMemStats(&after)
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > ceiling {
+		t.Errorf("DCMD Match+ResetCache = %d B/op, regression ceiling is %d", bytes, ceiling)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"qmatch/internal/lingo"
+	"qmatch/internal/match"
 	"qmatch/internal/obs"
 	"qmatch/internal/xmltree"
 )
@@ -84,12 +85,15 @@ func NewMatcher(th *lingo.Thesaurus) *Matcher {
 	}
 }
 
-// Result holds the full pair table of a tree match: the QoM of every
-// (source node, target node) pair, each cell computed once from its
-// children's rows — this is what realizes the paper's O(n·m) bound
-// (DESIGN.md §5.1). The table is a dense n×m slice indexed by pre-order
-// position; on the corpus' largest workload (231×3753 nodes) this more
-// than halves the allocation volume a map-based memo would cost.
+// Result holds the pair table of a tree match, each cell computed once from
+// its children's rows — this is what realizes the paper's O(n·m) bound
+// (DESIGN.md §5.1). The table is a compact hot plane, dense n×m and indexed
+// by pre-order position: one float64 QoM value and one flag byte (class,
+// label evidence, done) per cell, ~9 B where the full QoM breakdown takes
+// 112. That is all a parent cell reads of its children and all selection
+// needs; the full breakdown of the few cells a report or explanation asks
+// for is rebuilt on demand by the same cell function the fill runs (see
+// rebuilder).
 type Result struct {
 	Source, Target *xmltree.Node
 	// Root is the QoM of the two schema roots — "the total match value
@@ -98,23 +102,45 @@ type Result struct {
 
 	srcNodes, tgtNodes []*xmltree.Node
 	srcIdx, tgtIdx     map[*xmltree.Node]int
-	table              []QoM
-	done               []bool
+	val                []float64
+	flags              []uint8
 	kern               *simKernel
 
 	// Iterative-fill side structures (built once per match in newResult):
 	// child lists as pre-order indices, nesting levels, leaf flags, and the
-	// root-pair level rule, all precomputed so computeCols touches no node
-	// pointers on the hot path.
+	// root-pair level rule, all precomputed so the cell function touches
+	// no node pointers on the hot path.
 	srcKids, tgtKids     [][]int32
 	srcLevels, tgtLevels []int32
 	srcLeaf, tgtLeaf     []bool
 	rootLevelEq          bool
 
+	// Rebuild state, recorded by the sweep: the normalized weights and the
+	// children-axis threshold of the fill, and the configuration of its
+	// name matcher, without its memo caches. A kernel-less Result (a
+	// re-match's) rebuilds its label axis through a private clone of
+	// nameCfg, made on the first rebuild and guarded by mu — the matcher
+	// that filled the table may since serve another match.
+	w       AxisWeights
+	th      float64
+	nameCfg lingo.NameMatcher
+	mu      sync.Mutex
+	names   *lingo.NameMatcher
+
 	// buf is the pooled slab set backing the slices above (see arena.go);
 	// nil after Release.
 	buf *matchBuffers
 }
+
+// Flag-byte layout of the hot plane.
+const (
+	flagClass uint8 = 0x07 // the cell's Class
+	flagLabel uint8 = 0x08 // LabelKind != lingo.None: selection's label evidence
+	flagDone  uint8 = 0x80 // the cell is computed
+)
+
+// done reports whether cell idx is computed.
+func (r *Result) done(idx int) bool { return r.flags[idx]&flagDone != 0 }
 
 func newResult(src, tgt *xmltree.Node) *Result {
 	r := &Result{
@@ -258,10 +284,10 @@ func (m *Matcher) sweep(r *Result, rows, cols []int32) {
 	sp.End()
 
 	sp = tr.StartSpan(obs.PhasePairTable)
-	w := m.Weights.Normalized()
+	r.w, r.th, r.nameCfg = m.Weights.Normalized(), m.Threshold, m.Names.Config()
 	partial := false
 	if par == 1 {
-		tw := &treeWorker{m: m, names: m.Names, r: r, w: w}
+		tw := &treeWorker{names: m.Names, r: r}
 		for k := 0; k < nr; k++ {
 			if m.aborted() {
 				partial = true
@@ -276,19 +302,19 @@ func (m *Matcher) sweep(r *Result, rows, cols []int32) {
 	} else {
 		pprof.Do(context.Background(),
 			pprof.Labels("qmatch_workload", workload, "qmatch_phase", "pairtable"),
-			func(context.Context) { partial = m.sweepLevels(r, rows, cols, w, par, sp) })
+			func(context.Context) { partial = m.sweepLevels(r, rows, cols, par, sp) })
 	}
 	if sp != nil {
 		sp.SetNodes(len(r.srcNodes), len(r.tgtNodes))
 		sp.SetWorkers(par)
-		sp.SetCells(r.filled(partial))
+		sp.SetCells(r.filled())
 		if partial {
 			sp.MarkPartial()
 		}
 	}
 	sp.End()
-	if r.done[0] { // cell (0, 0): the two roots
-		r.Root = r.table[0]
+	if r.done(0) { // cell (0, 0): the two roots
+		(&treeWorker{names: m.Names, r: r}).cell(0, 0, &r.Root)
 	}
 }
 
@@ -307,7 +333,7 @@ func (m *Matcher) buildKernel(r *Result, cells int64, par int) {
 // grouped by subtree height, ascending, each level fanned out over par
 // workers with a barrier between levels. It reports whether Done cut the
 // sweep short.
-func (m *Matcher) sweepLevels(r *Result, rows, cols []int32, w AxisWeights, par int, sp *obs.ActiveSpan) bool {
+func (m *Matcher) sweepLevels(r *Result, rows, cols []int32, par int, sp *obs.ActiveSpan) bool {
 	// Subtree heights: srcNodes is in pre-order, so children follow
 	// parents and a reverse sweep sees every child before its parent.
 	heights := make([]int, len(r.srcNodes))
@@ -348,7 +374,7 @@ func (m *Matcher) sweepLevels(r *Result, rows, cols []int32, w AxisWeights, par 
 		if i > 0 {
 			names = m.Names.Clone()
 		}
-		workers[i] = &treeWorker{m: m, names: names, r: r, w: w}
+		workers[i] = &treeWorker{names: names, r: r}
 	}
 	for li, level := range levels {
 		if m.aborted() {
@@ -422,15 +448,12 @@ func (m *Matcher) aborted() bool {
 	}
 }
 
-// filled returns the number of computed pair-table cells: the whole table
-// after a completed sweep, a scan of the done flags after a partial one.
-func (r *Result) filled(partial bool) int64 {
-	if !partial {
-		return int64(len(r.table))
-	}
+// filled returns the number of computed pair-table cells, a scan of the
+// done flags (only traced paths ask).
+func (r *Result) filled() int64 {
 	var n int64
-	for _, d := range r.done {
-		if d {
+	for _, f := range r.flags {
+		if f&flagDone != 0 {
 			n++
 		}
 	}
@@ -458,34 +481,27 @@ func (m *Matcher) MatchNodes(s, t *xmltree.Node) QoM {
 }
 
 // treeWorker computes pair-table cells with a dedicated NameMatcher, so
-// several workers can fill disjoint rows of one Result concurrently.
+// several workers can fill disjoint rows of one Result concurrently. The
+// name matcher scores labels only when the Result has no kernel.
 type treeWorker struct {
-	m     *Matcher
 	names *lingo.NameMatcher
 	r     *Result
-	w     AxisWeights
 }
 
 // computeCols fills the given target columns of source row i (nil = every
 // column). Rows are filled in an order where every child row precedes its
 // parent's (descending pre-order on one worker, ascending subtree height
 // on several), so the children axis reads completed rows by index instead
-// of recursing — no per-cell map lookups, no QoM copies up a call stack,
-// no node-pointer chasing. The column subset serves the incremental
-// re-match: clean columns are copied from the previous table before the
-// sweep starts, so they are complete for every row. Cell values are
+// of recursing. The column subset serves the incremental re-match: clean
+// columns are copied from the previous table before the sweep starts, so
+// they are complete for every row. Each cell's full QoM is built on the
+// stack and only its value and flag byte are stored. Cell values are
 // bit-identical to the recursive reference fill the equivalence and
 // cancellation tests compare against.
 func (tw *treeWorker) computeCols(i int, cols []int32) {
 	r := tw.r
-	mcols := len(r.tgtNodes)
-	base := i * mcols
-	kids := r.srcKids[i]
-	sLeaf := r.srcLeaf[i]
-	sLvl := r.srcLevels[i]
-	k := r.kern
-	th := tw.m.Threshold - 1e-9
-	nj := mcols
+	base := i * len(r.tgtNodes)
+	nj := len(r.tgtNodes)
 	if cols != nil {
 		nj = len(cols)
 	}
@@ -494,115 +510,129 @@ func (tw *treeWorker) computeCols(i int, cols []int32) {
 		if cols != nil {
 			j = int(cols[cj])
 		}
-		// Build the cell in place: the QoM is ~10 words, and a
-		// stack-then-copy construction costs a duffcopy per cell.
-		q := &r.table[base+j]
-		*q = QoM{}
-		if k != nil {
-			q.Label, q.LabelKind = k.labelAt(i, j)
-			q.Properties, q.PropertiesKind = k.propAt(i, j)
-		} else {
-			s, t := r.srcNodes[i], r.tgtNodes[j]
-			q.Label, q.LabelKind = tw.names.Match(s.Label, t.Label)
-			pq := MatchProperties(s.Props, t.Props)
-			q.Properties, q.PropertiesKind = pq.Score, pq.Kind
+		var q QoM
+		tw.cell(i, j, &q)
+		f := uint8(q.Class) | flagDone
+		if q.LabelKind != lingo.None {
+			f |= flagLabel
 		}
-
-		if sLeaf && r.tgtLeaf[j] {
-			// Leaf match (Eq. 2): label and properties compared; level
-			// and children match exactly by default — the constant
-			// C = WH + WC.
-			q.Leaf = true
-			q.LevelExact = true
-			q.Level = 1
-			q.SubtreeWeight, q.CardinalityRatio = 1, 1
-			q.Children = 1
-			q.Coverage = Total
-			q.ChildrenAllExact = true
-		} else {
-			// The root pair compares tree heights, every other pair
-			// nesting levels (levelEqual); rootLevelEq caches the former.
-			if i == 0 && j == 0 {
-				q.LevelExact = r.rootLevelEq
-			} else {
-				q.LevelExact = sLvl == r.tgtLevels[j]
-			}
-			if q.LevelExact {
-				q.Level = 1
-			}
-			// Children axis (Eq. 3–5): each source child contributes its
-			// best-matching target candidate when that match clears the
-			// threshold. Candidates are the target's children plus the
-			// target node itself — the paper's §2.2 walkthrough matches
-			// the source child PurchaseInfo against the target *root*
-			// Purchase Order, so a source nested one level deeper than
-			// the target can still achieve coverage.
-			//
-			// Two notions are tracked separately. The *quantitative*
-			// Rw/Rs follow Fig. 3's threshold on the QoM value, which
-			// lets pure structural agreement propagate (the Fig. 9
-			// behaviour). The *qualitative* coverage classification
-			// (total/partial, §2.1) additionally requires the child's
-			// best pair not to classify as NoMatch — a label-less
-			// structural coincidence contributes weight but does not
-			// make a child "have a match". Only the best candidate's
-			// index is tracked; its Class is read once at the end (the
-			// zero Class when nothing beat the zero QoM). The threshold
-			// carries an epsilon for a child sitting exactly at it under
-			// inexact float sums.
-			sum := 0.0
-			count := 0
-			covered := 0
-			allExact := true
-			tKids := r.tgtKids[j]
-			for _, ci := range kids {
-				cbase := int(ci) * mcols
-				bestIdx := -1
-				bestVal := 0.0
-				for _, cj := range tKids {
-					if v := r.table[cbase+int(cj)].Value; v > bestVal {
-						bestVal, bestIdx = v, cbase+int(cj)
-					}
-				}
-				if !r.srcLeaf[ci] {
-					if v := r.table[cbase+j].Value; v > bestVal {
-						bestVal, bestIdx = v, cbase+j
-					}
-				}
-				if bestVal >= th {
-					sum += bestVal
-					count++
-					var cls Class
-					if bestIdx >= 0 {
-						cls = r.table[bestIdx].Class
-					}
-					if cls != NoMatch {
-						covered++
-						if cls != TotalExact {
-							allExact = false
-						}
-					}
-				}
-			}
-			if n := len(kids); n > 0 {
-				q.SubtreeWeight = sum / float64(n)
-				q.CardinalityRatio = float64(count) / float64(n)
-				switch {
-				case covered == n:
-					q.Coverage = Total
-				case covered > 0:
-					q.Coverage = Partial
-				}
-			}
-			q.Children = (q.SubtreeWeight + q.CardinalityRatio) / 2
-			q.ChildrenAllExact = allExact && covered > 0
-		}
-
-		q.Value = tw.w.Label*q.Label + tw.w.Properties*q.Properties +
-			tw.w.Level*q.Level + tw.w.Children*q.Children
-		q.classify()
-		r.done[base+j] = true
+		r.val[base+j], r.flags[base+j] = q.Value, f
 	}
+}
+
+// cell computes the full QoM of cell (i, j) into q: the label and property
+// axes from the kernel (or, without one, the name matcher and
+// MatchProperties), the level axis from the precomputed levels, and the
+// children axis from the value plane of the child rows, which must be
+// complete. It is the one cell rule of the sweep and of every rebuild.
+func (tw *treeWorker) cell(i, j int, q *QoM) {
+	r := tw.r
+	if k := r.kern; k != nil {
+		q.Label, q.LabelKind = k.labelAt(i, j)
+		q.Properties, q.PropertiesKind = k.propAt(i, j)
+	} else {
+		s, t := r.srcNodes[i], r.tgtNodes[j]
+		q.Label, q.LabelKind = tw.names.Match(s.Label, t.Label)
+		pq := MatchProperties(s.Props, t.Props)
+		q.Properties, q.PropertiesKind = pq.Score, pq.Kind
+	}
+
+	if r.srcLeaf[i] && r.tgtLeaf[j] {
+		// Leaf match (Eq. 2): label and properties compared; level
+		// and children match exactly by default — the constant
+		// C = WH + WC.
+		q.Leaf = true
+		q.LevelExact = true
+		q.Level = 1
+		q.SubtreeWeight, q.CardinalityRatio = 1, 1
+		q.Children = 1
+		q.Coverage = Total
+		q.ChildrenAllExact = true
+	} else {
+		// The root pair compares tree heights, every other pair
+		// nesting levels (levelEqual); rootLevelEq caches the former.
+		if i == 0 && j == 0 {
+			q.LevelExact = r.rootLevelEq
+		} else {
+			q.LevelExact = r.srcLevels[i] == r.tgtLevels[j]
+		}
+		if q.LevelExact {
+			q.Level = 1
+		}
+		// Children axis (Eq. 3–5): each source child contributes its
+		// best-matching target candidate when that match clears the
+		// threshold. Candidates are the target's children plus the
+		// target node itself — the paper's §2.2 walkthrough matches
+		// the source child PurchaseInfo against the target *root*
+		// Purchase Order, so a source nested one level deeper than
+		// the target can still achieve coverage.
+		//
+		// Two notions are tracked separately. The *quantitative*
+		// Rw/Rs follow Fig. 3's threshold on the QoM value, which
+		// lets pure structural agreement propagate (the Fig. 9
+		// behaviour). The *qualitative* coverage classification
+		// (total/partial, §2.1) additionally requires the child's
+		// best pair not to classify as NoMatch — a label-less
+		// structural coincidence contributes weight but does not
+		// make a child "have a match". Only the best candidate's
+		// index is tracked; its Class is read once at the end (the
+		// zero Class when nothing beat the zero QoM). The threshold
+		// carries an epsilon for a child sitting exactly at it under
+		// inexact float sums.
+		mcols := len(r.tgtNodes)
+		th := r.th - 1e-9
+		sum := 0.0
+		count := 0
+		covered := 0
+		allExact := true
+		kids, tKids := r.srcKids[i], r.tgtKids[j]
+		for _, ci := range kids {
+			row := r.val[int(ci)*mcols : (int(ci)+1)*mcols]
+			bestIdx := -1
+			bestVal := 0.0
+			for _, cj := range tKids {
+				if v := row[cj]; v > bestVal {
+					bestVal, bestIdx = v, int(cj)
+				}
+			}
+			if !r.srcLeaf[ci] {
+				if v := row[j]; v > bestVal {
+					bestVal, bestIdx = v, j
+				}
+			}
+			if bestVal >= th {
+				sum += bestVal
+				count++
+				var cls Class
+				if bestIdx >= 0 {
+					cls = Class(r.flags[int(ci)*mcols+bestIdx] & flagClass)
+				}
+				if cls != NoMatch {
+					covered++
+					if cls != TotalExact {
+						allExact = false
+					}
+				}
+			}
+		}
+		if n := len(kids); n > 0 {
+			q.SubtreeWeight = sum / float64(n)
+			q.CardinalityRatio = float64(count) / float64(n)
+			switch {
+			case covered == n:
+				q.Coverage = Total
+			case covered > 0:
+				q.Coverage = Partial
+			}
+		}
+		q.Children = (q.SubtreeWeight + q.CardinalityRatio) / 2
+		q.ChildrenAllExact = allExact && covered > 0
+	}
+
+	w := &r.w
+	q.Value = w.Label*q.Label + w.Properties*q.Properties +
+		w.Level*q.Level + w.Children*q.Children
+	q.classify()
 }
 
 // levelEqual implements the level axis (QoMH). The paper compares nesting
@@ -617,25 +647,94 @@ func levelEqual(s, t *xmltree.Node) bool {
 	return s.Level() == t.Level()
 }
 
-// Pair returns the QoM of a specific node pair from the result table.
-func (r *Result) Pair(s, t *xmltree.Node) (QoM, bool) {
-	idx := r.cell(s, t)
-	if idx < 0 || !r.done[idx] {
-		return QoM{}, false
+// rebuilder returns a worker whose cell function recomputes the full QoM
+// of r's computed cells. A Result with a kernel rebuilds from it, lock-free
+// (the kernel and the plane are read-only once filled). A kernel-less one
+// scores labels through its private name matcher, cloned from nameCfg on
+// the first rebuild; r.mu then serializes the rebuilds, and the caller must
+// call endRebuild when done.
+func (r *Result) rebuilder() *treeWorker {
+	tw := &treeWorker{r: r}
+	if r.kern == nil {
+		r.mu.Lock()
+		if r.names == nil {
+			r.names = r.nameCfg.Clone()
+		}
+		tw.names = r.names
 	}
-	return r.table[idx], true
+	return tw
 }
 
-// Pairs returns every pair of the table in deterministic (source pre-order,
-// target pre-order) order.
+// endRebuild ends a rebuilder's use.
+func (r *Result) endRebuild() {
+	if r.kern == nil {
+		r.mu.Unlock()
+	}
+}
+
+// rebuild returns the full QoM of the computed cell idx.
+func (r *Result) rebuild(idx int) QoM {
+	var q QoM
+	m := len(r.tgtNodes)
+	r.rebuilder().cell(idx/m, idx%m, &q)
+	r.endRebuild()
+	return q
+}
+
+// Pair returns the QoM of a specific node pair, rebuilt from the table.
+func (r *Result) Pair(s, t *xmltree.Node) (QoM, bool) {
+	idx := r.cell(s, t)
+	if idx < 0 || !r.done(idx) {
+		return QoM{}, false
+	}
+	return r.rebuild(idx), true
+}
+
+// value returns the QoM value of a node pair straight from the plane.
+func (r *Result) value(s, t *xmltree.Node) (float64, bool) {
+	idx := r.cell(s, t)
+	if idx < 0 || !r.done(idx) {
+		return 0, false
+	}
+	return r.val[idx], true
+}
+
+// Candidates threshold-scans the value plane: every computed pair whose
+// QoM value is at least th — with requireLabelEvidence, only pairs whose
+// labels match at all (LabelKind != None) — as scored pairs in (source
+// pre-order, target pre-order) order. This is selection's input without
+// materializing the table: match.Select drops pairs below its threshold
+// before a stable sort, so Select(Candidates(th, gate), th) equals Select
+// over every gated pair of the table.
+func (r *Result) Candidates(th float64, requireLabelEvidence bool) []match.ScoredPair {
+	need := flagDone
+	if requireLabelEvidence {
+		need |= flagLabel
+	}
+	var out []match.ScoredPair
+	m := len(r.tgtNodes)
+	for idx, v := range r.val {
+		if v >= th && r.flags[idx]&need == need {
+			out = append(out, match.ScoredPair{Source: r.srcNodes[idx/m], Target: r.tgtNodes[idx%m], Score: v})
+		}
+	}
+	return out
+}
+
+// Pairs returns every computed pair of the table, with its full QoM
+// rebuilt, in deterministic (source pre-order, target pre-order) order.
+// It rebuilds the whole table — a diagnostic path; selection reads
+// Candidates.
 func (r *Result) Pairs() []PairQoM {
-	out := make([]PairQoM, 0, len(r.table))
-	for i, s := range r.srcNodes {
-		base := i * len(r.tgtNodes)
-		for j, t := range r.tgtNodes {
-			if r.done[base+j] {
-				out = append(out, PairQoM{Source: s, Target: t, QoM: r.table[base+j]})
-			}
+	out := make([]PairQoM, 0, len(r.flags))
+	m := len(r.tgtNodes)
+	tw := r.rebuilder()
+	defer r.endRebuild()
+	for idx := range r.flags {
+		if r.done(idx) {
+			p := PairQoM{Source: r.srcNodes[idx/m], Target: r.tgtNodes[idx%m]}
+			tw.cell(idx/m, idx%m, &p.QoM)
+			out = append(out, p)
 		}
 	}
 	return out
@@ -648,23 +747,26 @@ func (r *Result) BestForSource(s *xmltree.Node) (*xmltree.Node, QoM) {
 	if !ok {
 		return nil, QoM{}
 	}
-	var bestT *xmltree.Node
-	var bestQ QoM
+	best := -1
 	base := i * len(r.tgtNodes)
-	for j, t := range r.tgtNodes {
-		if r.done[base+j] && (bestT == nil || r.table[base+j].Value > bestQ.Value) {
-			bestT, bestQ = t, r.table[base+j]
+	for j := range r.tgtNodes {
+		if r.done(base+j) && (best < 0 || r.val[base+j] > r.val[best]) {
+			best = base + j
 		}
 	}
-	return bestT, bestQ
+	if best < 0 {
+		return nil, QoM{}
+	}
+	return r.tgtNodes[best-base], r.rebuild(best)
 }
 
 // TopPairs returns the n highest-QoM pairs, ties broken by source then
 // target pre-order position. Selection runs a bounded min-heap in a single
-// pass over the dense table — O(cells·log n) and n heap entries instead of
+// pass over the value plane — O(cells·log n) and n heap entries instead of
 // materializing and sorting all n·m pairs, which on the PIR×PDB table
 // (867k cells) is the difference between microseconds and a full
-// sort-the-world pass (see BenchmarkTopPairs).
+// sort-the-world pass (see BenchmarkTopPairs). Only the n winners have
+// their full QoM rebuilt.
 func (r *Result) TopPairs(n int) []PairQoM {
 	if n <= 0 {
 		return nil
@@ -683,7 +785,7 @@ func (r *Result) TopPairs(n int) []PairQoM {
 		return a.idx > b.idx
 	}
 	// Min-heap of the current top n, worst entry at the root.
-	heap := make([]entry, 0, min2(n, len(r.table)))
+	heap := make([]entry, 0, min2(n, len(r.val)))
 	siftUp := func(i int) {
 		for i > 0 {
 			p := (i - 1) / 2
@@ -712,11 +814,11 @@ func (r *Result) TopPairs(n int) []PairQoM {
 			i = least
 		}
 	}
-	for idx := range r.table {
-		if !r.done[idx] {
+	for idx, v := range r.val {
+		if !r.done(idx) {
 			continue
 		}
-		e := entry{idx: idx, value: r.table[idx].Value}
+		e := entry{idx: idx, value: v}
 		switch {
 		case len(heap) < n:
 			heap = append(heap, e)
@@ -729,8 +831,11 @@ func (r *Result) TopPairs(n int) []PairQoM {
 	sort.Slice(heap, func(i, j int) bool { return worse(heap[j], heap[i]) })
 	out := make([]PairQoM, len(heap))
 	m := len(r.tgtNodes)
+	tw := r.rebuilder()
+	defer r.endRebuild()
 	for i, e := range heap {
-		out[i] = PairQoM{Source: r.srcNodes[e.idx/m], Target: r.tgtNodes[e.idx%m], QoM: r.table[e.idx]}
+		out[i] = PairQoM{Source: r.srcNodes[e.idx/m], Target: r.tgtNodes[e.idx%m]}
+		tw.cell(e.idx/m, e.idx%m, &out[i].QoM)
 	}
 	return out
 }

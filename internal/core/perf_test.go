@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"qmatch/internal/dataset"
+	"qmatch/internal/match"
 )
 
 // BenchmarkProteinHybridTree measures the full pair-table computation on
@@ -37,6 +38,21 @@ func BenchmarkTopPairs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res.TopPairs(10)
+	}
+}
+
+// BenchmarkProteinCandidates measures the path Hybrid.Match takes on the
+// PIR×PDB table: fill, threshold scan of the value plane, and one-to-one
+// selection of the few candidates that clear it.
+func BenchmarkProteinCandidates(b *testing.B) {
+	p := dataset.ProteinPair()
+	m := NewMatcher(nil)
+	m.Tree(p.Source, p.Target).Release()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := m.Tree(p.Source, p.Target)
+		match.Select(r.Candidates(0.75, true), 0.75)
+		r.Release()
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"reflect"
+
 	"qmatch/internal/lingo"
 	"qmatch/internal/xmltree"
 )
@@ -14,35 +17,39 @@ import (
 type reference struct {
 	m     *Matcher
 	names *lingo.NameMatcher
-	r     *Result
+	r     *Result // pre-order node indices only; the oracle keeps its own table
 	w     AxisWeights
+	table []QoM
+	done  []bool
 }
 
 // referenceTable fills the whole src × tgt pair table through the oracle
-// and returns it in the production table's dense layout.
+// and returns it as full QoMs in the production table's dense layout.
 func referenceTable(m *Matcher, src, tgt *xmltree.Node) []QoM {
-	ref := &reference{m: m, names: m.Names, r: newResult(src, tgt), w: m.Weights.Normalized()}
+	r := newResult(src, tgt)
+	cells := len(r.srcNodes) * len(r.tgtNodes)
+	ref := &reference{m: m, names: m.Names, r: r, w: m.Weights.Normalized(),
+		table: make([]QoM, cells), done: make([]bool, cells)}
 	for _, s := range ref.r.srcNodes {
 		for _, t := range ref.r.tgtNodes {
 			ref.pair(s, t)
 		}
 	}
-	return ref.r.table
+	r.Release()
+	return ref.table
 }
 
 // pair computes (or returns the memoized) QoM of one node pair.
 func (ref *reference) pair(s, t *xmltree.Node) QoM {
 	r := ref.r
 	idx := r.srcIdx[s]*len(r.tgtNodes) + r.tgtIdx[t]
-	if r.done[idx] {
-		return r.table[idx]
+	if ref.done[idx] {
+		return ref.table[idx]
 	}
 	// Break recursive-schema cycles defensively: mark in-progress pairs
 	// with the zero entry (schema trees are acyclic, so this only guards
-	// against malformed input). The table slab is pooled and arrives
-	// dirty, so the zero entry is written explicitly.
-	r.done[idx] = true
-	r.table[idx] = QoM{}
+	// against malformed input).
+	ref.done[idx] = true
 
 	var q QoM
 	q.Label, q.LabelKind = ref.names.Match(s.Label, t.Label)
@@ -112,6 +119,28 @@ func (ref *reference) pair(s, t *xmltree.Node) QoM {
 		ref.w.Level*q.Level + ref.w.Children*q.Children
 	q.classify()
 
-	r.table[idx] = q
+	ref.table[idx] = q
 	return q
+}
+
+// rebuiltTable returns every cell of r with its full QoM rebuilt, in the
+// dense layout referenceTable returns (the zero QoM where not computed).
+func rebuiltTable(r *Result) []QoM {
+	out := make([]QoM, len(r.flags))
+	m := len(r.tgtNodes)
+	tw := r.rebuilder()
+	defer r.endRebuild()
+	for idx := range out {
+		if r.done(idx) {
+			tw.cell(idx/m, idx%m, &out[idx])
+		}
+	}
+	return out
+}
+
+// sameTable reports whether two results hold the same pair table: equal
+// value and flag planes, and equal full QoMs rebuilt from them.
+func sameTable(a, b *Result) bool {
+	return reflect.DeepEqual(a.val, b.val) && bytes.Equal(a.flags, b.flags) &&
+		reflect.DeepEqual(rebuiltTable(a), rebuiltTable(b))
 }

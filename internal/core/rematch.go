@@ -94,15 +94,7 @@ func alignSide(oldNodes []*xmltree.Node, oldKids [][]int32, newNodes []*xmltree.
 // complete reports whether every cell of the table was computed (a partial
 // previous result cannot seed a re-match).
 func (r *Result) complete() bool {
-	if r.buf == nil {
-		return false
-	}
-	for _, d := range r.done {
-		if !d {
-			return false
-		}
-	}
-	return true
+	return r.buf != nil && r.filled() == int64(len(r.flags))
 }
 
 // RematchTarget computes the pair table of (prev.Source, newTgt) — the
@@ -127,15 +119,14 @@ func (m *Matcher) RematchTarget(prev *Result, newTgt *xmltree.Node) (*Result, Re
 	n := len(r.srcNodes)
 	mNew, mOld := len(r.tgtNodes), len(prev.tgtNodes)
 	// Coalesce clean columns into runs of contiguous (new, old) index pairs,
-	// then copy row-major: one memmove per run per row instead of a strided
-	// cell-by-cell walk down each column, which on large tables costs more
-	// than the fill it replaces. doneRow is the per-row done template —
-	// true over clean columns, false over dirty ones (the sweep sets those
-	// as it fills them).
+	// then copy both planes row-major: one memmove per run per row instead
+	// of a strided cell-by-cell walk down each column, which on large
+	// tables costs more than the fill it replaces. The copied flags carry
+	// prev's done bits; dirty columns keep the zeroed flags newResult
+	// starts from until the sweep fills them.
 	type copyRun struct{ newStart, oldStart, len int }
 	var runs []copyRun
 	dirty := make([]int32, 0, mNew)
-	doneRow := make([]bool, mNew)
 	for j := 0; j < mNew; {
 		if !clean[j] {
 			dirty = append(dirty, int32(j))
@@ -146,17 +137,15 @@ func (m *Matcher) RematchTarget(prev *Result, newTgt *xmltree.Node) (*Result, Re
 		for j++; j < mNew && clean[j] && int(oldIdx[j]) == ostart+(j-start); j++ {
 		}
 		runs = append(runs, copyRun{start, ostart, j - start})
-		for x := start; x < j; x++ {
-			doneRow[x] = true
-		}
 	}
 	for i := 0; i < n; i++ {
 		nb, ob := i*mNew, i*mOld
 		for _, run := range runs {
-			copy(r.table[nb+run.newStart:nb+run.newStart+run.len],
-				prev.table[ob+run.oldStart:ob+run.oldStart+run.len])
+			copy(r.val[nb+run.newStart:nb+run.newStart+run.len],
+				prev.val[ob+run.oldStart:ob+run.oldStart+run.len])
+			copy(r.flags[nb+run.newStart:nb+run.newStart+run.len],
+				prev.flags[ob+run.oldStart:ob+run.oldStart+run.len])
 		}
-		copy(r.done[nb:nb+mNew], doneRow)
 	}
 	m.sweep(r, nil, dirty)
 
@@ -188,12 +177,8 @@ func (m *Matcher) RematchSource(prev *Result, newSrc *xmltree.Node) (*Result, Re
 	oldIdx, clean := alignSide(prev.srcNodes, prev.srcKids, r.srcNodes, r.srcKids)
 
 	n, mcols := len(r.srcNodes), len(r.tgtNodes)
-	trueRow := make([]bool, mcols)
-	for j := range trueRow {
-		trueRow[j] = true
-	}
-	// Copy the clean rows up front; the dirty ones, collected in
-	// descending pre-order, are the rows the sweep fills.
+	// Copy the clean rows of both planes up front; the dirty ones,
+	// collected in descending pre-order, are the rows the sweep fills.
 	dirty := make([]int32, 0, n)
 	for i := n - 1; i >= 0; i-- {
 		if !clean[i] {
@@ -201,8 +186,8 @@ func (m *Matcher) RematchSource(prev *Result, newSrc *xmltree.Node) (*Result, Re
 			continue
 		}
 		oi := int(oldIdx[i])
-		copy(r.table[i*mcols:(i+1)*mcols], prev.table[oi*mcols:(oi+1)*mcols])
-		copy(r.done[i*mcols:(i+1)*mcols], trueRow)
+		copy(r.val[i*mcols:(i+1)*mcols], prev.val[oi*mcols:(oi+1)*mcols])
+		copy(r.flags[i*mcols:(i+1)*mcols], prev.flags[oi*mcols:(oi+1)*mcols])
 	}
 	m.sweep(r, dirty, nil)
 

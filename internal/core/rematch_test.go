@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"qmatch/internal/dataset"
@@ -75,13 +74,13 @@ func TestRematchTargetEquivalence(t *testing.T) {
 				m.Trace = tr
 				got, stats := m.RematchTarget(prev, newTgt)
 
-				if !reflect.DeepEqual(got.table, want.table) {
+				if !sameTable(got, want) {
 					t.Fatal("rematched table differs from full re-match")
 				}
 				if got.Root != want.Root {
 					t.Fatalf("rematched root %+v, full root %+v", got.Root, want.Root)
 				}
-				total := int64(len(want.table))
+				total := int64(len(want.flags))
 				if stats.Full || stats.RescoredCells >= total || stats.CopiedCells == 0 {
 					t.Fatalf("no incremental savings: %+v over %d cells", stats, total)
 				}
@@ -127,10 +126,10 @@ func TestRematchSourceEquivalence(t *testing.T) {
 			prev := m.Tree(pair.Source, pair.Target)
 			got, stats := m.RematchSource(prev, newSrc)
 
-			if !reflect.DeepEqual(got.table, want.table) {
+			if !sameTable(got, want) {
 				t.Fatal("rematched table differs from full re-match")
 			}
-			if stats.Full || stats.RescoredCells >= int64(len(want.table)) || stats.CopiedCells == 0 {
+			if stats.Full || stats.RescoredCells >= int64(len(want.flags)) || stats.CopiedCells == 0 {
 				t.Fatalf("no incremental savings: %+v", stats)
 			}
 		})
@@ -152,7 +151,7 @@ func TestRematchReleasedPrevFallsBack(t *testing.T) {
 		t.Fatalf("released prev should force a full re-match, got %+v", stats)
 	}
 	want := NewMatcher(nil).Tree(pair.Source, newTgt)
-	if !reflect.DeepEqual(got.table, want.table) {
+	if !sameTable(got, want) {
 		t.Fatal("fallback table differs from full re-match")
 	}
 }
@@ -169,7 +168,7 @@ func TestRematchChain(t *testing.T) {
 		evo.mutate(t, next)
 		got, stats := m.RematchTarget(prev, next)
 		want := NewMatcher(nil).Tree(pair.Source, next)
-		if !reflect.DeepEqual(got.table, want.table) {
+		if !sameTable(got, want) {
 			t.Fatalf("step %d (%s): chained rematch diverges", step, evo.name)
 		}
 		if stats.Full {
@@ -200,7 +199,7 @@ func TestRematchParallelEquivalence(t *testing.T) {
 		if stats.Full || stats.CopiedCells == 0 || stats.RescoredCells < parallelCutoff {
 			t.Fatalf("want an incremental rematch of at least %d rescored cells, got %+v", parallelCutoff, stats)
 		}
-		if !reflect.DeepEqual(got.table, want.table) {
+		if !sameTable(got, want) {
 			t.Fatal("parallel rematched table differs from full re-match")
 		}
 		if got.Root != want.Root {
@@ -250,13 +249,13 @@ func TestRematchCancelledPartial(t *testing.T) {
 		m.Done = done
 		got, stats := m.RematchTarget(prev, newTgt)
 		filled, missing := 0, 0
-		for idx, ok := range got.done {
-			if !ok {
+		for idx := range got.flags {
+			if !got.done(idx) {
 				missing++
 				continue
 			}
 			filled++
-			if got.table[idx] != full.table[idx] {
+			if got.val[idx] != full.val[idx] || got.flags[idx] != full.flags[idx] {
 				t.Fatalf("parallelism %d: cell %d diverges from a full fill", par, idx)
 			}
 		}

@@ -329,9 +329,9 @@ func parseAttlist(decl string) (string, []attrDecl, error) {
 // maxNodes bounds the tree a DTD may expand to. Content models that
 // reference the next element several times grow exponentially (ten levels
 // of three expand a 600-byte DTD to ~177k nodes), so the builder counts the
-// nodes it creates and fails once past the bound — the same bound the JSON
-// Schema front-end applies to $ref fan-out.
-const maxNodes = 1 << 16
+// nodes it creates and fails once past the bound — the bound every
+// front-end applies.
+const maxNodes = xmltree.MaxNodes
 
 // builder expands declarations into the tree.
 type builder struct {
@@ -346,7 +346,7 @@ type builder struct {
 func (b *builder) newNode(label string, props xmltree.Properties) (*xmltree.Node, error) {
 	b.nodes++
 	if b.nodes > maxNodes {
-		return nil, fmt.Errorf("dtd: schema expands past %d nodes", maxNodes)
+		return nil, fmt.Errorf("dtd: %w: expands past %d nodes", xmltree.ErrTooLarge, maxNodes)
 	}
 	return xmltree.New(label, props), nil
 }

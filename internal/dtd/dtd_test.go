@@ -1,6 +1,7 @@
 package dtd
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -255,7 +256,7 @@ func TestExpansionBombRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = ParseString(string(data), "")
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("expands past %d nodes", maxNodes)) {
+	if !errors.Is(err, xmltree.ErrTooLarge) || !strings.Contains(err.Error(), fmt.Sprintf("expands past %d nodes", maxNodes)) {
 		t.Fatalf("ParseString(bomb) error = %v, want the %d-node bound", err, maxNodes)
 	}
 }

@@ -32,7 +32,10 @@ func Infer(r io.Reader) (*xmltree.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	node := inferElement([]*docNode{root})
+	node, err := new(inferrer).element([]*docNode{root})
+	if err != nil {
+		return nil, err
+	}
 	node.Props.MinOccurs, node.Props.MaxOccurs, node.Props.Order = 1, 1, 1
 	return node, nil
 }
@@ -84,11 +87,34 @@ func parseDoc(r io.Reader) (*docNode, error) {
 	return root, nil
 }
 
-// inferElement merges every instance of one element name (under merged
-// parent instances) into a single schema declaration.
-func inferElement(instances []*docNode) *xmltree.Node {
+// maxNodes bounds the inferred tree — the bound every front-end applies.
+// Merging repeated siblings keeps most trees far below it, but a document
+// of distinct element names infers one node per element.
+const maxNodes = xmltree.MaxNodes
+
+// inferrer counts the nodes one inference creates.
+type inferrer struct {
+	nodes int
+}
+
+// newNode creates one schema node, failing once the inferred tree has
+// grown past maxNodes.
+func (in *inferrer) newNode(label string, props xmltree.Properties) (*xmltree.Node, error) {
+	in.nodes++
+	if in.nodes > maxNodes {
+		return nil, fmt.Errorf("infer: %w: expands past %d nodes", xmltree.ErrTooLarge, maxNodes)
+	}
+	return xmltree.New(label, props), nil
+}
+
+// element merges every instance of one element name (under merged parent
+// instances) into a single schema declaration.
+func (in *inferrer) element(instances []*docNode) (*xmltree.Node, error) {
 	name := instances[0].name
-	node := xmltree.New(name, xmltree.Properties{MinOccurs: 1, MaxOccurs: 1})
+	node, err := in.newNode(name, xmltree.Properties{MinOccurs: 1, MaxOccurs: 1})
+	if err != nil {
+		return nil, err
+	}
 
 	// Attributes: required iff present on every instance; type inferred
 	// from the observed values.
@@ -115,7 +141,11 @@ func inferElement(instances []*docNode) *xmltree.Node {
 		} else {
 			props.Use = "optional"
 		}
-		node.Add(xmltree.New(an, props))
+		attr, err := in.newNode(an, props)
+		if err != nil {
+			return nil, err
+		}
+		node.Add(attr)
 	}
 
 	// Child elements: group by name in first-seen order; occurrence
@@ -142,7 +172,10 @@ func inferElement(instances []*docNode) *xmltree.Node {
 	// comparing lengths.
 	for _, cn := range childOrder {
 		group := childGroups[cn]
-		child := inferElement(group)
+		child, err := in.element(group)
+		if err != nil {
+			return nil, err
+		}
 		minC, maxC := minMaxCounts(counts[cn], len(instances))
 		child.Props.MinOccurs = minC
 		if maxC > 1 {
@@ -163,7 +196,7 @@ func inferElement(instances []*docNode) *xmltree.Node {
 		}
 		node.Props.Type = inferType(vals)
 	}
-	return node
+	return node, nil
 }
 
 func minMaxCounts(counts []int, instances int) (minC, maxC int) {

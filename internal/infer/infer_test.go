@@ -1,6 +1,8 @@
 package infer
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -201,5 +203,31 @@ func TestInferredSchemaIsMatchable(t *testing.T) {
 	}
 	if got := root.Find("PO/PurchaseDate").Props.Type; got != "date" {
 		t.Fatalf("PurchaseDate type = %q", got)
+	}
+}
+
+// A document of distinct element names infers one node per element; past
+// the front-ends' node budget inference must fail with the typed bound
+// error instead of building the tree.
+func TestInferNodeBudget(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("<r>")
+	for i := 0; i < maxNodes; i++ { // with the root, one node past the bound
+		fmt.Fprintf(&b, "<e%d/>", i)
+	}
+	b.WriteString("</r>")
+	_, err := InferString(b.String())
+	if !errors.Is(err, xmltree.ErrTooLarge) {
+		t.Fatalf("InferString(%d distinct elements) error = %v, want the typed %d-node bound", maxNodes, err, maxNodes)
+	}
+
+	// One element fewer fits exactly.
+	small := strings.Replace(b.String(), "<e0/>", "", 1)
+	tree, err := InferString(small)
+	if err != nil {
+		t.Fatalf("InferString at the bound: %v", err)
+	}
+	if got := tree.Size(); got != maxNodes {
+		t.Fatalf("inferred %d nodes, want %d", got, maxNodes)
 	}
 }

@@ -37,7 +37,7 @@ import (
 // definitions each referencing the next twice grows exponentially).
 const (
 	maxDepth = 512
-	maxNodes = 1 << 16
+	maxNodes = xmltree.MaxNodes
 )
 
 // value is one JSON value with object members in document order.
@@ -198,7 +198,7 @@ func (b *builder) build(label string, props xmltree.Properties, schema *value) (
 	}
 	b.nodes++
 	if b.nodes > maxNodes {
-		return nil, fmt.Errorf("jsonschema: schema expands past %d nodes", maxNodes)
+		return nil, fmt.Errorf("jsonschema: %w: expands past %d nodes", xmltree.ErrTooLarge, maxNodes)
 	}
 	// Boolean schemas: "true" admits anything, "false" nothing — both are
 	// untyped leaves for matching purposes.

@@ -1,6 +1,8 @@
 package jsonschema
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -233,5 +235,22 @@ func TestParseLevels(t *testing.T) {
 	sku := tree.Find("PurchaseOrder/lines/sku")
 	if sku == nil || sku.Level() != 2 {
 		t.Fatalf("sku level wrong:\n%s", tree.Dump())
+	}
+}
+
+// A DAG of definitions each referencing the next twice would expand to
+// 2^21 nodes from a ~2 KB document; the builder must refuse it with the
+// typed bound error instead of building the tree.
+func TestExpansionBombRejected(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(`{"title": "Bomb", "$ref": "#/definitions/d0", "definitions": {`)
+	const levels = 20
+	for i := 0; i < levels; i++ {
+		fmt.Fprintf(&b, `"d%d": {"type": "object", "properties": {"a": {"$ref": "#/definitions/d%d"}, "b": {"$ref": "#/definitions/d%d"}}},`, i, i+1, i+1)
+	}
+	fmt.Fprintf(&b, `"d%d": {"type": "string"}}}`, levels)
+	_, err := ParseString(b.String())
+	if !errors.Is(err, xmltree.ErrTooLarge) || !strings.Contains(err.Error(), fmt.Sprintf("expands past %d nodes", maxNodes)) {
+		t.Fatalf("ParseString(bomb) error = %v, want the typed %d-node bound", err, maxNodes)
 	}
 }

@@ -77,6 +77,16 @@ func (m *NameMatcher) Clone() *NameMatcher {
 	return &c
 }
 
+// Config returns the matcher's thesaurus and tuning without its memo
+// caches. The value stays valid after the matcher itself is handed to
+// another goroutine, and Clone turns it into a usable matcher.
+func (m *NameMatcher) Config() NameMatcher {
+	c := *m
+	c.feats, c.tokIndex, c.tokenSims = nil, nil, nil
+	c.tokNames, c.tokFeats = nil, nil
+	return c
+}
+
 // NewNameMatcher returns a NameMatcher with the default tuning over the
 // given thesaurus (nil selects an empty thesaurus, disabling semantic
 // relations but keeping string similarity).

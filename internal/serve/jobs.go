@@ -103,7 +103,7 @@ func (s *Server) resolveJobRefs(refs []JobSchemaRef, role string, eng *qmatch.En
 		case ref.Schema != nil:
 			parsed, err := ref.Schema.parse(fmt.Sprintf("%s[%d]", role, i))
 			if err != nil {
-				return nil, nil, http.StatusBadRequest, err
+				return nil, nil, parseStatus(err), err
 			}
 			cs, err := eng.Compile(parsed)
 			if err != nil {

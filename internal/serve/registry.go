@@ -95,7 +95,7 @@ func (s *Server) handlePutSchema(w http.ResponseWriter, r *http.Request) {
 	}
 	schema, err := req.Schema.parse("schema")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, parseStatus(err), err.Error())
 		return
 	}
 	var copts []qmatch.CompileOption
@@ -219,7 +219,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	query, err := req.Query.parse("query")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, parseStatus(err), err.Error())
 		return
 	}
 	eng, err := s.engineFor(req.matchOptions)

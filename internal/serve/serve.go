@@ -490,12 +490,12 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	}
 	src, err := req.Source.parse("source")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, parseStatus(err), err.Error())
 		return
 	}
 	tgt, err := req.Target.parse("target")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, parseStatus(err), err.Error())
 		return
 	}
 	eng, err := s.engineFor(req.matchOptions)
@@ -546,12 +546,12 @@ func (s *Server) handleMatchAll(w http.ResponseWriter, r *http.Request) {
 	}
 	sources, err := parseAll(req.Sources, "sources")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, parseStatus(err), err.Error())
 		return
 	}
 	targets, err := parseAll(req.Targets, "targets")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, parseStatus(err), err.Error())
 		return
 	}
 	eng, err := s.engineFor(req.matchOptions)
@@ -585,12 +585,12 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	}
 	query, err := req.Query.parse("query")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, parseStatus(err), err.Error())
 		return
 	}
 	corpus, err := parseAll(req.Corpus, "corpus")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, parseStatus(err), err.Error())
 		return
 	}
 	eng, err := s.engineFor(req.matchOptions)

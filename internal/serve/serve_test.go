@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -258,6 +260,25 @@ func TestOversizedBody413(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "exceeds") {
 		t.Errorf("unhelpful 413 body: %s", body)
+	}
+}
+
+// A small schema that expands past the front-ends' node budget is
+// refused with 413, on the inline match path and on a registry PUT alike.
+func TestSchemaTooLarge413(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	bomb, err := os.ReadFile(filepath.Join("..", "xsd", "testdata", "bomb_chained_types.xsd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := post(t, ts.URL+"/v1/match", matchBody(string(bomb), poTargetXSD))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "schema too large") {
+		t.Fatalf("/v1/match: status %d, want 413 naming the bound: %s", resp.StatusCode, body)
+	}
+	resp, body = do(t, http.MethodPut, ts.URL+"/v1/schemas/bomb",
+		PutSchemaRequest{Schema: &SchemaInput{Data: string(bomb)}})
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("PUT: status %d, want 413: %s", resp.StatusCode, body)
 	}
 }
 

@@ -205,6 +205,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// parseStatus is the HTTP status of a schema parse failure: 413 for a
+// schema that expands past the front-ends' node budget
+// (qmatch.ErrSchemaTooLarge), 400 for any other malformed input.
+func parseStatus(err error) int {
+	if errors.Is(err, qmatch.ErrSchemaTooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorBody{Error: msg})
 }

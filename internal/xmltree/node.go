@@ -60,7 +60,10 @@ func (n *Node) Add(child *Node) *Node {
 		child.Props.Order = len(n.Children) + 1
 	}
 	n.Children = append(n.Children, child)
-	n.invalidate()
+	// Only the adopted subtree's levels and paths depend on its new
+	// ancestry; n's other descendants keep theirs. Invalidating just the
+	// child keeps building a wide node linear rather than quadratic.
+	child.invalidate()
 	return n
 }
 
@@ -82,7 +85,7 @@ func (n *Node) Root() *Node {
 // Level returns the depth of n from its root; a root has level 0. Levels
 // are computed lazily and cached with atomics, so concurrent readers of a
 // finished tree may race to fill the cache but always store the same value.
-// Add invalidates the cache for the whole tree.
+// Add invalidates the cache of the subtree it attaches.
 func (n *Node) Level() int {
 	if n.parent == nil {
 		return 0

@@ -219,8 +219,8 @@ func ParseAll(r io.Reader) ([]*xmltree.Node, error) {
 // types each declaring several elements of the next grows exponentially
 // (ten levels of three expand a 2 KB document to ~150k nodes), so the
 // resolver counts the nodes it creates and fails once past the bound — the
-// same bound the JSON Schema front-end applies to $ref fan-out.
-const maxNodes = 1 << 16
+// bound every front-end applies.
+const maxNodes = xmltree.MaxNodes
 
 // resolver expands raw declarations into xmltree nodes, resolving named
 // type and ref lookups with a cycle guard for recursive types.
@@ -240,7 +240,7 @@ type resolver struct {
 func (r *resolver) newNode(label string, props xmltree.Properties) (*xmltree.Node, error) {
 	r.nodes++
 	if r.nodes > maxNodes {
-		return nil, fmt.Errorf("xsd: schema expands past %d nodes", maxNodes)
+		return nil, fmt.Errorf("xsd: %w: expands past %d nodes", xmltree.ErrTooLarge, maxNodes)
 	}
 	return xmltree.New(label, props), nil
 }

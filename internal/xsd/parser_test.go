@@ -1,6 +1,7 @@
 package xsd
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -404,14 +405,14 @@ func TestParseListAndUnionTypes(t *testing.T) {
 
 // A 2 KB chain of named types, each declaring three elements of the next,
 // would expand to 147,622 nodes; the resolver must refuse it with the node
-// bound error instead of building the tree.
+// typed bound error instead of building the tree.
 func TestExpansionBombRejected(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "bomb_chained_types.xsd"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = ParseString(string(data))
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("expands past %d nodes", maxNodes)) {
+	if !errors.Is(err, xmltree.ErrTooLarge) || !strings.Contains(err.Error(), fmt.Sprintf("expands past %d nodes", maxNodes)) {
 		t.Fatalf("ParseString(bomb) error = %v, want the %d-node bound", err, maxNodes)
 	}
 }
