@@ -75,7 +75,9 @@ var (
 
 // DecodeCompiled reads an artifact written by Encode and rebuilds the
 // ready-to-match CompiledSchema, verifying format version and checksum
-// first (see the ErrArtifact* sentinels for the failure modes).
+// first (see the ErrArtifact* sentinels for the failure modes). An
+// artifact of more nodes than the front-ends' budget fails with
+// ErrSchemaTooLarge.
 func DecodeCompiled(r io.Reader) (*CompiledSchema, error) {
 	art, err := artifact.Decode(r)
 	if err != nil {

@@ -143,7 +143,8 @@ var ErrUnknownFormat = errors.New("unknown schema format")
 
 // ErrSchemaTooLarge reports a schema document whose tree would expand past
 // the 65,536-node budget every front-end (XSD, DTD, XML inference, JSON
-// Schema) enforces while it builds the tree. Parse errors for such input
+// Schema, SQL DDL) enforces while it builds the tree, and that artifact
+// decoding enforces on the declared node count. Errors for such input
 // match it with errors.Is; qmatchd answers them with 413.
 var ErrSchemaTooLarge = xmltree.ErrTooLarge
 

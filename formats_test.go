@@ -294,7 +294,8 @@ func TestLoadSchemaSniffed(t *testing.T) {
 
 // Every front-end's node budget surfaces through the public parsers as
 // one typed error: the checked-in XSD and DTD expansion bombs, a $ref
-// fan-out JSON Schema, and an instance document of distinct elements.
+// fan-out JSON Schema, an instance document of distinct elements, and a
+// CREATE TABLE with a column per node.
 func TestSchemaTooLarge(t *testing.T) {
 	read := func(path ...string) string {
 		t.Helper()
@@ -316,6 +317,12 @@ func TestSchemaTooLarge(t *testing.T) {
 		fmt.Fprintf(&doc, "<e%d/>", i)
 	}
 	doc.WriteString("</r>")
+	var ddl strings.Builder
+	ddl.WriteString("CREATE TABLE wide (c0 INT")
+	for i := 1; i < 1<<16; i++ {
+		fmt.Fprintf(&ddl, ", c%d INT", i)
+	}
+	ddl.WriteString(");")
 
 	for name, parse := range map[string]func() (*qmatch.Schema, error){
 		"xsd": func() (*qmatch.Schema, error) {
@@ -326,6 +333,7 @@ func TestSchemaTooLarge(t *testing.T) {
 		},
 		"jsonschema": func() (*qmatch.Schema, error) { return qmatch.ParseJSONSchemaString(js.String()) },
 		"xml":        func() (*qmatch.Schema, error) { return qmatch.InferSchemaString(doc.String()) },
+		"ddl":        func() (*qmatch.Schema, error) { return qmatch.ParseDDLString(ddl.String(), "") },
 	} {
 		if _, err := parse(); !errors.Is(err, qmatch.ErrSchemaTooLarge) {
 			t.Errorf("%s: error = %v, want qmatch.ErrSchemaTooLarge", name, err)

@@ -6,6 +6,7 @@ import (
 
 	"qmatch"
 	"qmatch/internal/dataset"
+	"qmatch/internal/xmltree"
 	"qmatch/internal/xsd"
 )
 
@@ -30,7 +31,8 @@ func encodeArtifact(f *testing.F, doc string, opts ...qmatch.CompileOption) []by
 
 // FuzzArtifactRoundTrip feeds arbitrary bytes through the artifact
 // decoder. Most inputs must be rejected with a typed error and no panic;
-// whenever one decodes, the encoding must be a fixpoint — re-encoding
+// whenever one decodes, its tree stays within the front-ends' node budget
+// and the encoding must be a fixpoint — re-encoding
 // reproduces the input bytes exactly (the format has no redundant
 // representations), the content ID is stable, and a second decode→encode
 // cycle changes nothing.
@@ -47,6 +49,9 @@ func FuzzArtifactRoundTrip(f *testing.F) {
 		cs, err := qmatch.DecodeCompiled(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if size := cs.Size(); size > xmltree.MaxNodes {
+			t.Fatalf("decoded a %d-node artifact, past the %d-node bound", size, xmltree.MaxNodes)
 		}
 		var first bytes.Buffer
 		if err := cs.Encode(&first); err != nil {

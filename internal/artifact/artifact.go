@@ -262,6 +262,11 @@ const maxPayload = 64 << 20
 //	ErrTruncated  stream ends inside header or payload
 //	ErrChecksum   payload does not hash to the header sum
 //	ErrMalformed  payload checksums but violates the grammar
+//
+// A well-formed payload that declares more than xmltree.MaxNodes nodes
+// fails with an error wrapping xmltree.ErrTooLarge before any node is
+// decoded: the bound every schema front-end applies also holds for
+// artifacts, whichever producer wrote them.
 func Decode(r io.Reader) (*Compiled, error) {
 	var hdr [4 + 2 + 32 + 8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -402,6 +407,9 @@ func decodePayload(payload []byte) (*xmltree.Node, uint16, error) {
 		// Every node costs several payload bytes, so a count beyond the
 		// payload length is a forgery regardless of content.
 		return nil, 0, fmt.Errorf("%w: implausible node count %d", ErrMalformed, declared)
+	}
+	if declared > xmltree.MaxNodes {
+		return nil, 0, fmt.Errorf("artifact: %w: declares %d nodes, past %d", xmltree.ErrTooLarge, declared, xmltree.MaxNodes)
 	}
 	decoded := 0
 	var dec func(depth int) (*xmltree.Node, error)

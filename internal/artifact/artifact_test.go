@@ -268,3 +268,41 @@ func TestSketch(t *testing.T) {
 		t.Error("empty sketch intersects a populated one")
 	}
 }
+
+// flatTree builds a root with the given number of leaf children.
+func flatTree(children int) *xmltree.Node {
+	root := xmltree.New("root", xmltree.Properties{MinOccurs: 1, MaxOccurs: 1})
+	for i := 0; i < children; i++ {
+		root.Add(xmltree.New("leaf", xmltree.Properties{Type: "string", MinOccurs: 1, MaxOccurs: 1}))
+	}
+	return root
+}
+
+// A blob that checksums but declares more nodes than the front-ends'
+// budget is refused with the typed bound error before a single node is
+// decoded; a blob of exactly the budget still decodes.
+func TestDecodeRejectsOverBudgetNodeCount(t *testing.T) {
+	over := encodeT(t, compileT(t, flatTree(xmltree.MaxNodes), 0))
+	_, err := Decode(bytes.NewReader(over))
+	if !errors.Is(err, xmltree.ErrTooLarge) {
+		t.Fatalf("decode of %d nodes: error = %v, want xmltree.ErrTooLarge", xmltree.MaxNodes+1, err)
+	}
+	// Decoding the tree would allocate at least one node per declared
+	// node; the refusal costs only the payload buffer and the error.
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Decode(bytes.NewReader(over)); err == nil {
+			t.Fatal("over-budget blob decoded")
+		}
+	})
+	if allocs > 100 {
+		t.Fatalf("refusing the over-budget blob took %.0f allocs, want it to fail before decoding nodes", allocs)
+	}
+	at := encodeT(t, compileT(t, flatTree(xmltree.MaxNodes-1), 0))
+	back, err := Decode(bytes.NewReader(at))
+	if err != nil {
+		t.Fatalf("decode of exactly %d nodes: %v", xmltree.MaxNodes, err)
+	}
+	if len(back.Nodes) != xmltree.MaxNodes {
+		t.Fatalf("decoded %d nodes, want %d", len(back.Nodes), xmltree.MaxNodes)
+	}
+}

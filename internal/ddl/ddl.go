@@ -27,6 +27,7 @@
 package ddl
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -54,7 +55,7 @@ func ParseString(src, name string) (*xmltree.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{tokens: tokens}
+	p := &parser{tokens: tokens, nodes: 1} // the root
 	root := xmltree.New(name, xmltree.Properties{MinOccurs: 1, MaxOccurs: 1, Order: 1})
 	seen := map[string]bool{}
 	for !p.done() {
@@ -193,10 +194,26 @@ func isIdentPart(c byte) bool {
 	return isIdentStart(c) || c >= '0' && c <= '9' || c == '$'
 }
 
+// maxNodes bounds the database tree — the bound every front-end applies.
+// DDL cannot expand, but one wide table still builds a node per column:
+// 100,000 columns fit in a ~1 MB statement.
+const maxNodes = xmltree.MaxNodes
+
 // parser consumes the token stream statement by statement.
 type parser struct {
 	tokens []token
 	pos    int
+	nodes  int // tree nodes created so far, bounded by maxNodes
+}
+
+// newNode creates one tree node, failing once the database tree has grown
+// past maxNodes.
+func (p *parser) newNode(label string, props xmltree.Properties) (*xmltree.Node, error) {
+	p.nodes++
+	if p.nodes > maxNodes {
+		return nil, fmt.Errorf("ddl: %w: expands past %d nodes", xmltree.ErrTooLarge, maxNodes)
+	}
+	return xmltree.New(label, props), nil
 }
 
 func (p *parser) done() bool {
@@ -296,10 +313,16 @@ func (p *parser) createTable() (*xmltree.Node, error) {
 	}
 	// A table repeats under the database the way a row-bearing element
 	// repeats under its parent document.
-	table := xmltree.New(name, xmltree.Properties{MinOccurs: 0, MaxOccurs: xmltree.Unbounded})
+	table, err := p.newNode(name, xmltree.Properties{MinOccurs: 0, MaxOccurs: xmltree.Unbounded})
+	if err != nil {
+		return nil, err
+	}
 	seen := map[string]*xmltree.Node{}
 	for {
 		if err := p.tableEntry(table, seen); err != nil {
+			if errors.Is(err, xmltree.ErrTooLarge) {
+				return nil, err
+			}
 			return nil, fmt.Errorf("ddl: table %q: %w", name, err)
 		}
 		t := p.next()
@@ -504,8 +527,10 @@ func (p *parser) column(table *xmltree.Node, seen map[string]*xmltree.Node) erro
 	}
 	// SQL columns are nullable unless constrained otherwise: the
 	// relational counterpart of minOccurs 0.
-	props := xmltree.Properties{Type: typ, MinOccurs: 0, MaxOccurs: 1}
-	node := xmltree.New(name, props)
+	node, err := p.newNode(name, xmltree.Properties{Type: typ, MinOccurs: 0, MaxOccurs: 1})
+	if err != nil {
+		return err
+	}
 	if err := p.columnConstraints(node); err != nil {
 		return fmt.Errorf("column %q: %w", name, err)
 	}

@@ -1,6 +1,8 @@
 package ddl
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -183,5 +185,38 @@ func TestParseManyStatements(t *testing.T) {
 	tree := parse(t, b.String(), "big")
 	if len(tree.Children) != 30 {
 		t.Fatalf("got %d tables, want 30", len(tree.Children))
+	}
+}
+
+// wideTable renders one CREATE TABLE statement with the given number of
+// columns.
+func wideTable(columns int) string {
+	var b strings.Builder
+	b.WriteString("CREATE TABLE wide (")
+	for i := 0; i < columns; i++ {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "c%d INT", i)
+	}
+	b.WriteString(");")
+	return b.String()
+}
+
+// DDL cannot expand, but one wide table builds a node per column: a
+// ~1 MB statement of 100,000 columns must fail with the typed bound error
+// every front-end returns, while a table that just fits the bound parses.
+func TestWideTableNodeBound(t *testing.T) {
+	_, err := ParseString(wideTable(100_000), "db")
+	if !errors.Is(err, xmltree.ErrTooLarge) || !strings.Contains(err.Error(), fmt.Sprintf("expands past %d nodes", maxNodes)) {
+		t.Fatalf("ParseString(100,000 columns) error = %v, want the typed %d-node bound", err, maxNodes)
+	}
+	// Root and table take two nodes; the rest of the budget is columns.
+	tree := parse(t, wideTable(maxNodes-2), "db")
+	if size := tree.Size(); size != maxNodes {
+		t.Fatalf("tree has %d nodes, want exactly %d", size, maxNodes)
+	}
+	if _, err := ParseString(wideTable(maxNodes-1), "db"); !errors.Is(err, xmltree.ErrTooLarge) {
+		t.Fatalf("one column past the bound: error = %v, want xmltree.ErrTooLarge", err)
 	}
 }

@@ -24,7 +24,7 @@ func TestParseNeverPanics(t *testing.T) {
 // FuzzParseDDL drives the DDL parser with arbitrary source/name pairs.
 // The parser must stay total and any database tree it accepts must be
 // well-formed: three levels (db → table → column), non-empty labels,
-// tables with at least one column.
+// tables with at least one column, and no more than maxNodes nodes.
 func FuzzParseDDL(f *testing.F) {
 	f.Add(storeDDL, "store")
 	f.Add(`CREATE TABLE t (a INT PRIMARY KEY, b VARCHAR(10) NOT NULL DEFAULT 'x');`, "")
@@ -44,6 +44,9 @@ func FuzzParseDDL(f *testing.F) {
 		}
 		if tree.Label == "" {
 			t.Fatalf("root has an empty label for %q name %q", src, name)
+		}
+		if size := tree.Size(); size > maxNodes {
+			t.Fatalf("tree grew past the node bound: %d nodes", size)
 		}
 		for _, table := range tree.Children {
 			if table.Label == "" || len(table.Children) == 0 {

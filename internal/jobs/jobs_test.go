@@ -166,7 +166,7 @@ func TestShardFailureRetriesThenSucceeds(t *testing.T) {
 	m := New(Config{Engine: eng, ShardCost: 1, RetryBackoff: time.Millisecond, Metrics: reg})
 	defer m.Close()
 	var failed atomic.Int64
-	m.SetFaultInjector(func(jobID string, shard, attempt int) error {
+	m.SetFaultInjector(func(_ context.Context, jobID string, shard, attempt int) error {
 		if shard == 1 && attempt == 1 {
 			failed.Add(1)
 			return errors.New("injected shard failure")
@@ -214,7 +214,7 @@ func TestWorkerPanicRetriesShard(t *testing.T) {
 	m := New(Config{Engine: eng, RetryBackoff: time.Millisecond})
 	defer m.Close()
 	var panicked atomic.Bool
-	m.SetFaultInjector(func(jobID string, shard, attempt int) error {
+	m.SetFaultInjector(func(_ context.Context, jobID string, shard, attempt int) error {
 		if attempt == 1 && !panicked.Swap(true) {
 			panic("worker crashed mid-shard")
 		}
@@ -240,7 +240,7 @@ func TestShardExhaustsRetriesFailsJob(t *testing.T) {
 	eng := testEngine(t)
 	m := New(Config{Engine: eng, MaxRetries: 2, RetryBackoff: time.Millisecond})
 	defer m.Close()
-	m.SetFaultInjector(func(jobID string, shard, attempt int) error {
+	m.SetFaultInjector(func(_ context.Context, jobID string, shard, attempt int) error {
 		return errors.New("persistent failure")
 	})
 	j, err := m.Submit("doomed", Spec{
@@ -262,35 +262,27 @@ func TestShardExhaustsRetriesFailsJob(t *testing.T) {
 	}
 }
 
-// blockingExecutor blocks every Execute until its context is cancelled,
-// then reports the context error; release unblocks remaining calls.
-type blockingExecutor struct {
-	inner   Executor
-	entered chan struct{}
-	mu      sync.Mutex
-	blockON bool
-}
-
-func (b *blockingExecutor) Execute(ctx context.Context, spec *Spec, shard Shard) ([]json.RawMessage, error) {
-	b.mu.Lock()
-	blocked := b.blockON
-	b.mu.Unlock()
-	if blocked {
+// blockAttempts installs a fault hook that holds every shard attempt
+// until the attempt's context is cancelled and returns the context error.
+// The returned channel holds a token once an attempt has entered the hook
+// (the send never blocks the hook).
+func blockAttempts(m *Manager) <-chan struct{} {
+	entered := make(chan struct{}, 1)
+	m.SetFaultInjector(func(ctx context.Context, _ string, _, _ int) error {
 		select {
-		case b.entered <- struct{}{}:
+		case entered <- struct{}{}:
 		default:
 		}
 		<-ctx.Done()
-		return nil, ctx.Err()
-	}
-	return b.inner.Execute(ctx, spec, shard)
+		return ctx.Err()
+	})
+	return entered
 }
 
 func TestCancelMidShard(t *testing.T) {
-	eng := testEngine(t)
-	be := &blockingExecutor{inner: EngineExecutor{Engine: eng}, entered: make(chan struct{}, 8), blockON: true}
-	m := New(Config{Engine: eng, Executor: be, ShardCost: 1})
+	m := New(Config{Engine: testEngine(t), ShardCost: 1})
 	defer m.Close()
+	entered := blockAttempts(m)
 	j, err := m.Submit("cancelme", Spec{
 		Sources: []*qmatch.CompiledSchema{xsdFor(t, "a", 3)},
 		Targets: []*qmatch.CompiledSchema{xsdFor(t, "b", 3), xsdFor(t, "c", 3)},
@@ -298,7 +290,7 @@ func TestCancelMidShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-be.entered // at least one shard is genuinely mid-flight
+	<-entered // at least one shard is genuinely mid-flight
 	j.Cancel()
 	p := waitTerminal(t, j)
 	if p.Status != StatusCancelled {
@@ -315,43 +307,6 @@ func TestCancelMidShard(t *testing.T) {
 	if j.Trace() == nil {
 		t.Fatal("cancelled job should still expose its trace")
 	}
-}
-
-func TestLeaseExpiryRequeuesLostShard(t *testing.T) {
-	eng := testEngine(t)
-	var first atomic.Bool
-	be := &hangFirstExecutor{inner: EngineExecutor{Engine: eng}, first: &first}
-	m := New(Config{Engine: eng, Executor: be, LeaseTimeout: 50 * time.Millisecond, RetryBackoff: time.Millisecond})
-	defer m.Close()
-	j, err := m.Submit("lost-worker", Spec{
-		Sources: []*qmatch.CompiledSchema{xsdFor(t, "a", 2)},
-		Targets: []*qmatch.CompiledSchema{xsdFor(t, "b", 2)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := waitTerminal(t, j)
-	if p.Status != StatusCompleted {
-		t.Fatalf("status %s (err %q), want completed after lease requeue", p.Status, p.Error)
-	}
-	if p.Retries < 1 {
-		t.Fatalf("retries %d, want >= 1 (the reaped lease)", p.Retries)
-	}
-}
-
-// hangFirstExecutor simulates a lost worker: the first Execute ignores
-// results and hangs until the reaper cancels its attempt context.
-type hangFirstExecutor struct {
-	inner Executor
-	first *atomic.Bool
-}
-
-func (h *hangFirstExecutor) Execute(ctx context.Context, spec *Spec, shard Shard) ([]json.RawMessage, error) {
-	if !h.first.Swap(true) {
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}
-	return h.inner.Execute(ctx, spec, shard)
 }
 
 func TestStoreEvictsCompletedJobsLRU(t *testing.T) {
@@ -401,10 +356,9 @@ func TestStoreEvictsCompletedJobsLRU(t *testing.T) {
 }
 
 func TestActiveJobsNeverEvicted(t *testing.T) {
-	eng := testEngine(t)
-	be := &blockingExecutor{inner: EngineExecutor{Engine: eng}, entered: make(chan struct{}, 8), blockON: true}
-	m := New(Config{Engine: eng, Executor: be, MaxJobs: 1})
+	m := New(Config{Engine: testEngine(t), MaxJobs: 1})
 	defer m.Close()
+	blockAttempts(m)
 	src := []*qmatch.CompiledSchema{xsdFor(t, "a", 2)}
 	tgt := []*qmatch.CompiledSchema{xsdFor(t, "b", 2)}
 	// Two active (blocked) jobs exceed MaxJobs but must both survive.
@@ -483,5 +437,64 @@ func TestConcurrentJobsHammer(t *testing.T) {
 	}
 	if v, _ := reg.Value(MetricJobsActive); v != 0 {
 		t.Fatalf("active gauge %d after all jobs terminal, want 0", v)
+	}
+}
+
+// Every terminal transition — completed, failed and cancelled alike —
+// retires the job from the active gauge, counts it by status and evicts
+// over-bound terminal jobs before any waiter can see the terminal status.
+// A waiter that wakes on the terminal status must therefore already read
+// a zero active gauge, a store within MaxJobs and a status counter that
+// includes its job. Cancellation runs on another goroutine than the
+// waiter, so the canceller cannot order the two for it.
+func TestTerminalTransitionPublishesLast(t *testing.T) {
+	reg := obs.NewRegistry()
+	const maxJobs = 1
+	m := New(Config{Engine: testEngine(t), MaxJobs: maxJobs, MaxRetries: 1,
+		RetryBackoff: time.Microsecond, Metrics: reg})
+	defer m.Close()
+	m.SetFaultInjector(func(ctx context.Context, jobID string, _, _ int) error {
+		switch jobID[0] {
+		case 'f':
+			return errors.New("injected failure")
+		case 'c':
+			<-ctx.Done()
+			return ctx.Err()
+		}
+		return nil
+	})
+	spec := Spec{
+		Sources: []*qmatch.CompiledSchema{xsdFor(t, "a", 2)},
+		Targets: []*qmatch.CompiledSchema{xsdFor(t, "b", 2)},
+	}
+	kinds := []struct {
+		prefix byte
+		status Status
+	}{{'d', StatusCompleted}, {'f', StatusFailed}, {'c', StatusCancelled}}
+	counted := map[Status]int64{}
+	for i := 0; i < 1500; i++ {
+		kind := kinds[i%len(kinds)]
+		j, err := m.Submit(fmt.Sprintf("%c%d", kind.prefix, i), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind.status == StatusCancelled {
+			go j.Cancel()
+		}
+		p := waitTerminal(t, j)
+		if p.Status != kind.status {
+			t.Fatalf("job %s: status %s (%s), want %s", j.ID(), p.Status, p.Error, kind.status)
+		}
+		counted[kind.status]++
+		if v, _ := reg.Value(MetricJobsActive); v != 0 {
+			t.Fatalf("job %s %s: active gauge %d once the status is visible, want 0", j.ID(), p.Status, v)
+		}
+		if n := m.Len(); n > maxJobs {
+			t.Fatalf("job %s %s: store holds %d jobs once the status is visible, want <= %d", j.ID(), p.Status, n, maxJobs)
+		}
+		name := obs.LabeledName(MetricJobs, "status", string(kind.status))
+		if v, _ := reg.Value(name); v != counted[kind.status] {
+			t.Fatalf("job %s %s: %s = %d once the status is visible, want %d", j.ID(), p.Status, name, v, counted[kind.status])
+		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -36,11 +38,8 @@ var ErrClosed = errors.New("jobs: manager closed")
 // Config tunes a Manager. The zero value is usable: every knob falls
 // back to the documented default.
 type Config struct {
-	// Executor runs shards; nil selects EngineExecutor{Engine}.
-	Executor Executor
-	// Engine backs the default EngineExecutor and jobs without an
-	// override Engine. Required unless Executor is set and every Spec
-	// carries its own Engine.
+	// Engine matches the cells of jobs without an override Engine.
+	// Required unless every Spec carries its own Engine.
 	Engine *qmatch.Engine
 	// Workers bounds the shard workers (default GOMAXPROCS).
 	Workers int
@@ -54,10 +53,6 @@ type Config struct {
 	// RetryBackoff is the base delay before a failed shard is re-queued;
 	// attempt n waits RetryBackoff×2^(n-1) (default 100ms).
 	RetryBackoff time.Duration
-	// LeaseTimeout bounds how long a dispatched shard may run
-	// unacknowledged before the reaper assumes the worker lost and
-	// re-queues it (default 5m).
-	LeaseTimeout time.Duration
 	// MaxJobs bounds terminal jobs retained for polling; beyond it the
 	// least-recently-accessed terminal job is evicted (default 64).
 	// Active jobs are never evicted.
@@ -86,14 +81,8 @@ func (c Config) withDefaults() Config {
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 100 * time.Millisecond
 	}
-	if c.LeaseTimeout <= 0 {
-		c.LeaseTimeout = 5 * time.Minute
-	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 64
-	}
-	if c.Executor == nil {
-		c.Executor = EngineExecutor{Engine: c.Engine}
 	}
 	return c
 }
@@ -103,20 +92,12 @@ type shardState struct {
 	Shard
 	status   ShardStatus
 	attempts int
-	// epoch tokens the current dispatch: a completion is acknowledged
-	// only if its epoch still matches, so a reaped ("lost") worker's
-	// late result is dropped instead of double-writing.
-	epoch int64
-	// deadline is the lease expiry while running.
-	deadline time.Time
-	// abort cancels the in-flight attempt's context (reaper, job cancel).
-	abort context.CancelFunc
 	// span is the open trace span of the in-flight attempt.
 	span *obs.ActiveSpan
 }
 
-// Job is one submitted batch match. All state is guarded by mu; readers
-// take snapshots via Progress and ResultsFrom.
+// Job is one submitted batch match. All mutable state except access is
+// guarded by mu; readers take snapshots via Progress and ResultsFrom.
 type Job struct {
 	id      string
 	spec    Spec
@@ -142,7 +123,10 @@ type Job struct {
 	trace          *obs.Trace
 	jobSpan        *obs.ActiveSpan
 	finalTrace     *obs.MatchTrace
-	access         time.Time // LRU clock for the terminal-job store
+
+	// access is the LRU clock of the terminal-job store, guarded by the
+	// manager's mu (not the job's) so eviction needs no job lock to rank.
+	access time.Time
 }
 
 // ID returns the job's identifier.
@@ -158,15 +142,16 @@ type task struct {
 }
 
 // Manager is the job coordinator: it partitions submitted grids into
-// shards, feeds them to its worker pool, retries failures, re-queues
-// leases the reaper expires, and retains terminal jobs in a bounded
-// LRU store. Construct with New; Close stops the workers and cancels
-// every active job.
+// shards, feeds them to its worker pool, retries failed attempts, and
+// retains terminal jobs in a bounded LRU store. Construct with New; Close
+// stops the workers and cancels every active job.
+//
+// Lock order is manager before job: code holding a job's mu never takes
+// the manager's mu, and the terminal transition (finish) and eviction
+// take the manager's mu first.
 type Manager struct {
-	cfg  Config
-	ctx  context.Context
-	stop context.CancelFunc
-	wg   sync.WaitGroup
+	cfg Config
+	wg  sync.WaitGroup
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -174,10 +159,10 @@ type Manager struct {
 	jobs   map[string]*Job
 	closed bool
 
-	// fault, when non-nil, is consulted before every shard attempt;
-	// a non-nil error fails the attempt. Tests inject shard failures
-	// through SetFaultInjector to exercise the retry path.
-	fault func(jobID string, shard, attempt int) error
+	// fault, when non-nil, is consulted before every shard attempt with
+	// the attempt's context; a non-nil error fails the attempt. Tests
+	// inject failures and hold attempts open through SetFaultInjector.
+	fault func(ctx context.Context, jobID string, shard, attempt int) error
 
 	active       *obs.Gauge
 	shardsDone   *obs.Counter
@@ -186,12 +171,11 @@ type Manager struct {
 	jobDur       *obs.Histogram
 }
 
-// New builds a Manager and starts its worker pool and lease reaper.
+// New builds a Manager and starts its Workers worker goroutines.
 func New(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	m := &Manager{cfg: cfg, jobs: make(map[string]*Job)}
 	m.cond = sync.NewCond(&m.mu)
-	m.ctx, m.stop = context.WithCancel(context.Background())
 	if cfg.Metrics != nil {
 		m.active = cfg.Metrics.Gauge(MetricJobsActive)
 		m.shardsDone = cfg.Metrics.Counter(MetricJobShards)
@@ -203,22 +187,23 @@ func New(cfg Config) *Manager {
 		m.wg.Add(1)
 		go m.worker()
 	}
-	m.wg.Add(1)
-	go m.reaper()
 	return m
 }
 
 // SetFaultInjector installs (or clears, with nil) a hook consulted before
-// every shard attempt; returning a non-nil error fails that attempt as if
-// the executor had. Tests use it to force the retry path deterministically.
-func (m *Manager) SetFaultInjector(f func(jobID string, shard, attempt int) error) {
+// every shard attempt, after the gate admitted it. ctx is the attempt's
+// context (the job's), cancelled when the job is cancelled or the manager
+// closes; returning a non-nil error fails the attempt as if matching had.
+// Tests use it to force the retry path deterministically and to hold an
+// attempt mid-flight until cancellation.
+func (m *Manager) SetFaultInjector(f func(ctx context.Context, jobID string, shard, attempt int) error) {
 	m.mu.Lock()
 	m.fault = f
 	m.mu.Unlock()
 }
 
 // Close stops accepting submissions, cancels every active job (they
-// finish as cancelled) and waits for the workers and reaper to exit.
+// finish as cancelled) and waits for the workers to exit.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -235,7 +220,6 @@ func (m *Manager) Close() {
 	for _, j := range jobs {
 		j.Cancel()
 	}
-	m.stop()
 	m.cond.Broadcast()
 	m.wg.Wait()
 }
@@ -251,10 +235,12 @@ func (m *Manager) Submit(id string, spec Spec) (*Job, error) {
 	}
 	shards := Partition(spec.Sources, spec.Targets, m.cfg.ShardCost)
 	cells := len(spec.Sources) * len(spec.Targets)
+	now := time.Now()
 	j := &Job{
 		id:      id,
 		spec:    spec,
-		created: time.Now(),
+		created: now,
+		access:  now,
 		mgr:     m,
 		updated: make(chan struct{}),
 		status:  StatusPending,
@@ -270,7 +256,7 @@ func (m *Manager) Submit(id string, spec Spec) (*Job, error) {
 	for i, sh := range shards {
 		j.shards[i] = shardState{Shard: sh, status: ShardPending}
 	}
-	j.ctx, j.cancel = context.WithCancel(m.ctx)
+	j.ctx, j.cancel = context.WithCancel(context.Background())
 
 	m.mu.Lock()
 	if m.closed {
@@ -284,12 +270,12 @@ func (m *Manager) Submit(id string, spec Spec) (*Job, error) {
 		return nil, fmt.Errorf("jobs: duplicate job id %s", id)
 	}
 	m.jobs[id] = j
+	m.active.Add(1) // nil-safe
 	for i := range shards {
 		m.queue = append(m.queue, task{job: j, shard: i})
 	}
 	m.cond.Broadcast()
 	m.mu.Unlock()
-	m.active.Add(1) // nil-safe
 	if m.cfg.Logger != nil {
 		m.cfg.Logger.LogAttrs(context.Background(), slog.LevelInfo, "job submitted",
 			slog.String("job", id), slog.Int("sources", len(spec.Sources)),
@@ -302,14 +288,12 @@ func (m *Manager) Submit(id string, spec Spec) (*Job, error) {
 // Get returns a job by id, refreshing its LRU clock, or ErrNotFound.
 func (m *Manager) Get(id string) (*Job, error) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	j := m.jobs[id]
-	m.mu.Unlock()
 	if j == nil {
 		return nil, ErrNotFound
 	}
-	j.mu.Lock()
 	j.access = time.Now()
-	j.mu.Unlock()
 	return j, nil
 }
 
@@ -326,20 +310,15 @@ func (m *Manager) List() []Progress {
 	for i, j := range jobs {
 		out[i] = j.Progress(false)
 	}
-	// Newest first; ties (same create tick) break by id for determinism.
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && less(out[k-1], out[k]); k-- {
-			out[k-1], out[k] = out[k], out[k-1]
+	// Newest first; ties (same create tick) break by descending id for
+	// determinism.
+	slices.SortFunc(out, func(a, b Progress) int {
+		if c := b.Created.Compare(a.Created); c != 0 {
+			return c
 		}
-	}
+		return strings.Compare(b.ID, a.ID)
+	})
 	return out
-}
-
-func less(a, b Progress) bool {
-	if !a.Created.Equal(b.Created) {
-		return a.Created.Before(b.Created)
-	}
-	return a.ID < b.ID
 }
 
 // Cancel cancels an active job (terminal jobs are left untouched); it
@@ -361,10 +340,7 @@ func (m *Manager) Delete(id string) (Progress, error) {
 	if err != nil {
 		return Progress{}, err
 	}
-	j.mu.Lock()
-	terminal := j.status.Terminal()
-	j.mu.Unlock()
-	if !terminal {
+	if !j.terminal() {
 		j.Cancel()
 		return j.Progress(false), nil
 	}
@@ -396,7 +372,7 @@ func (m *Manager) next() (task, bool) {
 	return t, true
 }
 
-// enqueue re-queues a task (retry, reaped lease).
+// enqueue re-queues a task after a failed attempt's backoff.
 func (m *Manager) enqueue(t task) {
 	m.mu.Lock()
 	if !m.closed {
@@ -417,16 +393,13 @@ func (m *Manager) worker() {
 	}
 }
 
-// runShard executes one dispatch of one shard: lease it, admit it
-// through the gate, run the executor with panic containment, and
-// acknowledge or retry.
+// runShard executes one attempt of one shard: admit it through the gate,
+// match its cells with panic containment, and acknowledge or retry.
 func (m *Manager) runShard(t task) {
 	j := t.job
 	j.mu.Lock()
-	ss := &j.shards[t.shard]
-	if j.status.Terminal() || ss.status == ShardDone || ss.status == ShardRunning {
-		// Cancelled job, duplicate re-queue, or a reaped shard that was
-		// re-dispatched before this stale task drained — nothing to run.
+	if j.status.Terminal() {
+		// Cancelled or failed while this task was queued — nothing to run.
 		j.mu.Unlock()
 		return
 	}
@@ -435,33 +408,33 @@ func (m *Manager) runShard(t task) {
 		j.started = time.Now()
 		j.broadcastLocked()
 	}
+	ss := &j.shards[t.shard]
 	ss.status = ShardRunning
 	ss.attempts++
-	ss.epoch++
-	epoch := ss.epoch
 	attempt := ss.attempts
-	ss.deadline = time.Now().Add(m.cfg.LeaseTimeout)
-	attemptCtx, abort := context.WithCancel(j.ctx)
-	ss.abort = abort
 	ss.span = j.jobSpan.Child(obs.PhaseShard)
 	ss.span.SetCells(int64(ss.Cells()))
 	ss.span.SetLevel(ss.Index + 1)
 	shard := ss.Shard
 	j.mu.Unlock()
-	defer abort()
 
-	results, err := m.execute(attemptCtx, j, shard, attempt)
-	m.ack(j, t.shard, epoch, results, err)
+	results, err := m.execute(j, shard, attempt)
+	m.ack(j, t.shard, results, err)
 }
 
-// execute runs one attempt through the gate and executor, converting
-// panics into errors so a crashing worker loses only the attempt.
-func (m *Manager) execute(ctx context.Context, j *Job, shard Shard, attempt int) (results []json.RawMessage, err error) {
+// execute runs one attempt under the job's context: it waits for the gate,
+// consults the fault hook, then matches every cell of the shard through
+// the job's Engine and serializes each report compactly with
+// encoding/json — the serialization a synchronous MatchAll response
+// embeds. A panic becomes the attempt's error, so a crashing match loses
+// only the attempt.
+func (m *Manager) execute(j *Job, shard Shard, attempt int) (results []json.RawMessage, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("jobs: shard panic: %v", p)
 		}
 	}()
+	ctx := j.ctx
 	if gate := m.cfg.Gate; gate != nil {
 		release, gerr := gate(ctx)
 		if gerr != nil {
@@ -473,33 +446,40 @@ func (m *Manager) execute(ctx context.Context, j *Job, shard Shard, attempt int)
 	fault := m.fault
 	m.mu.Unlock()
 	if fault != nil {
-		if ferr := fault(j.id, shard.Index, attempt); ferr != nil {
+		if ferr := fault(ctx, j.id, shard.Index, attempt); ferr != nil {
 			return nil, ferr
 		}
 	}
-	return m.cfg.Executor.Execute(ctx, &j.spec, shard)
+	eng := j.spec.Engine
+	if eng == nil {
+		eng = m.cfg.Engine
+	}
+	nt := len(j.spec.Targets)
+	results = make([]json.RawMessage, 0, shard.Cells())
+	for k := shard.Start; k < shard.End; k++ {
+		rep, err := eng.MatchCompiledContext(ctx, j.spec.Sources[k/nt], j.spec.Targets[k%nt])
+		if err != nil {
+			return nil, err
+		}
+		raw, err := json.Marshal(rep)
+		if err != nil {
+			return nil, err
+		}
+		results = append(results, raw)
+	}
+	return results, nil
 }
 
-// ack records the outcome of one dispatch. Late results whose epoch no
-// longer matches (the reaper re-queued the shard) are dropped.
-func (m *Manager) ack(j *Job, shard int, epoch int64, results []json.RawMessage, err error) {
+// ack records the outcome of one attempt: its results, a retry after
+// backoff, or — once the shard has used up its retries — the job's
+// failure.
+func (m *Manager) ack(j *Job, shard int, results []json.RawMessage, err error) {
 	j.mu.Lock()
 	ss := &j.shards[shard]
-	if ss.epoch != epoch || ss.status != ShardRunning {
-		j.mu.Unlock()
-		return
-	}
-	ss.abort = nil
-	if err == nil && len(results) != ss.Cells() {
-		err = fmt.Errorf("jobs: executor returned %d results for a %d-cell shard", len(results), ss.Cells())
-	}
 	if j.status.Terminal() {
-		// Cancelled (or failed) while this attempt was in flight: close
-		// the span as partial and keep the terminal state.
+		// Cancelled or failed while this attempt was in flight; finish
+		// already closed its span as partial.
 		ss.status = ShardFailed
-		ss.span.MarkPartial()
-		ss.span.End()
-		ss.span = nil
 		j.mu.Unlock()
 		return
 	}
@@ -509,19 +489,21 @@ func (m *Manager) ack(j *Job, shard int, epoch int64, results []json.RawMessage,
 		ss.span = nil
 		if ss.attempts > m.cfg.MaxRetries {
 			ss.status = ShardFailed
-			m.failLocked(j, fmt.Sprintf("shard %d failed after %d attempts: %v", shard, ss.attempts, err))
+			msg := fmt.Sprintf("shard %d failed after %d attempts: %v", shard, ss.attempts, err)
 			j.mu.Unlock()
+			m.finish(j, StatusFailed, msg)
 			return
 		}
 		ss.status = ShardPending
 		j.retries++
-		backoff := m.cfg.RetryBackoff << (ss.attempts - 1)
+		attempt := ss.attempts
+		backoff := m.cfg.RetryBackoff << (attempt - 1)
 		j.mu.Unlock()
 		m.shardRetries.Inc() // nil-safe
 		if m.cfg.Logger != nil {
 			m.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "job shard retry",
 				slog.String("job", j.id), slog.Int("shard", shard),
-				slog.Int("attempt", int(epoch)), slog.Duration("backoff", backoff),
+				slog.Int("attempt", attempt), slog.Duration("backoff", backoff),
 				slog.String("error", err.Error()))
 		}
 		time.AfterFunc(backoff, func() { m.enqueue(task{job: j, shard: shard}) })
@@ -536,43 +518,35 @@ func (m *Manager) ack(j *Job, shard int, epoch int64, results []json.RawMessage,
 		j.ready++
 	}
 	j.done++
-	finished := j.done == len(j.shards)
-	if finished {
-		j.status = StatusCompleted
-		j.finished = time.Now()
-		j.finalTrace = j.finishTraceLocked()
-	}
+	completed := j.done == len(j.shards)
 	cells := ss.Cells()
 	j.broadcastLocked()
 	j.mu.Unlock()
 	m.shardsDone.Inc()
 	m.cellsDone.Add(int64(cells))
-	if finished {
-		m.finalize(j, StatusCompleted)
+	if completed {
+		m.finish(j, StatusCompleted, "")
 	}
 }
 
-// failLocked moves a job to failed and cancels its remaining work.
-// Callers hold j.mu; the metric/log side effects run asynchronously.
-func (m *Manager) failLocked(j *Job, msg string) {
+// finish is the one terminal transition — completed, failed and
+// cancelled alike. Holding the manager's mu and then the job's, it
+// retires the job from the active gauge, counts it by status, evicts
+// over-bound terminal jobs, and only then publishes the terminal status
+// to pollers and Updated waiters. It then cancels the job's context, which
+// aborts any attempt still in flight. A job already terminal is left
+// untouched.
+func (m *Manager) finish(j *Job, status Status, errMsg string) {
+	m.mu.Lock()
+	j.mu.Lock()
 	if j.status.Terminal() {
+		j.mu.Unlock()
+		m.mu.Unlock()
 		return
 	}
-	j.status = StatusFailed
-	j.errMsg = msg
+	j.status = status
+	j.errMsg = errMsg
 	j.finished = time.Now()
-	j.finalTrace = j.finishTraceLocked()
-	j.broadcastLocked()
-	cancel := j.cancel
-	go func() {
-		cancel()
-		m.finalize(j, StatusFailed)
-	}()
-}
-
-// finishTraceLocked closes the job span and snapshots the job trace.
-// Callers hold j.mu.
-func (j *Job) finishTraceLocked() *obs.MatchTrace {
 	for i := range j.shards {
 		if sp := j.shards[i].span; sp != nil {
 			sp.MarkPartial()
@@ -581,21 +555,19 @@ func (j *Job) finishTraceLocked() *obs.MatchTrace {
 		}
 	}
 	j.jobSpan.End()
-	return j.trace.Finish()
-}
-
-// finalize records terminal metrics/logs and evicts over-bound terminal
-// jobs from the store (LRU by last access).
-func (m *Manager) finalize(j *Job, status Status) {
+	j.finalTrace = j.trace.Finish()
+	elapsed := j.finished.Sub(j.created)
+	cells := j.completedCells
 	m.active.Add(-1) // nil-safe
 	if m.cfg.Metrics != nil {
 		m.cfg.Metrics.Counter(obs.LabeledName(MetricJobs, "status", string(status))).Inc()
 	}
-	j.mu.Lock()
-	elapsed := j.finished.Sub(j.created)
-	cells := j.completedCells
-	j.mu.Unlock()
 	m.jobDur.Observe(elapsed.Seconds())
+	m.evictLocked(j)
+	j.broadcastLocked()
+	j.mu.Unlock()
+	m.mu.Unlock()
+	j.cancel()
 	if m.cfg.Logger != nil {
 		level := slog.LevelInfo
 		if status != StatusCompleted {
@@ -605,131 +577,42 @@ func (m *Manager) finalize(j *Job, status Status) {
 			slog.String("job", j.id), slog.Int("cells", cells),
 			slog.Duration("elapsed", elapsed))
 	}
-	m.evict()
 }
 
-// evict drops least-recently-accessed terminal jobs beyond MaxJobs.
-func (m *Manager) evict() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// evictLocked drops least-recently-accessed terminal jobs beyond MaxJobs.
+// Callers hold m.mu and the mu of finishing, the job turning terminal
+// (counted as terminal without locking it again).
+func (m *Manager) evictLocked(finishing *Job) {
 	for {
 		terminal := 0
 		var oldest *Job
-		var oldestAt time.Time
 		for _, j := range m.jobs {
-			j.mu.Lock()
-			t := j.status.Terminal()
-			at := j.access
-			if at.IsZero() {
-				at = j.created
-			}
-			j.mu.Unlock()
-			if !t {
+			if j != finishing && !j.terminal() {
 				continue
 			}
 			terminal++
-			if oldest == nil || at.Before(oldestAt) {
-				oldest, oldestAt = j, at
+			if oldest == nil || j.access.Before(oldest.access) {
+				oldest = j
 			}
 		}
-		if terminal <= m.cfg.MaxJobs || oldest == nil {
+		if terminal <= m.cfg.MaxJobs {
 			return
 		}
 		delete(m.jobs, oldest.id)
 	}
 }
 
-// reaper re-queues running shards whose lease expired — the in-process
-// analogue of a cluster worker dying mid-shard. The expired attempt's
-// context is cancelled (the Engine aborts its fill between levels) and
-// its eventual late ack is dropped by the epoch check.
-func (m *Manager) reaper() {
-	defer m.wg.Done()
-	interval := m.cfg.LeaseTimeout / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-m.ctx.Done():
-			return
-		case <-tick.C:
-		}
-		m.mu.Lock()
-		jobs := make([]*Job, 0, len(m.jobs))
-		for _, j := range m.jobs {
-			jobs = append(jobs, j)
-		}
-		m.mu.Unlock()
-		now := time.Now()
-		for _, j := range jobs {
-			var requeue []task
-			j.mu.Lock()
-			if j.status.Terminal() {
-				j.mu.Unlock()
-				continue
-			}
-			for i := range j.shards {
-				ss := &j.shards[i]
-				if ss.status != ShardRunning || now.Before(ss.deadline) {
-					continue
-				}
-				if ss.abort != nil {
-					ss.abort()
-					ss.abort = nil
-				}
-				if ss.span != nil {
-					ss.span.MarkPartial()
-					ss.span.End()
-					ss.span = nil
-				}
-				ss.status = ShardPending
-				ss.epoch++ // invalidate the lost attempt's ack
-				j.retries++
-				m.shardRetries.Inc()
-				if m.cfg.Logger != nil {
-					m.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "job shard lease expired",
-						slog.String("job", j.id), slog.Int("shard", i),
-						slog.Int("attempts", ss.attempts))
-				}
-				requeue = append(requeue, task{job: j, shard: i})
-			}
-			j.mu.Unlock()
-			// Enqueue outside j.mu: enqueue takes m.mu, and evict holds
-			// m.mu while taking j.mu — same order everywhere or deadlock.
-			for _, t := range requeue {
-				m.enqueue(t)
-			}
-		}
-	}
+// terminal reports whether the job has reached a terminal state.
+func (j *Job) terminal() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.status.Terminal()
 }
 
 // Cancel moves the job to cancelled (no-op when already terminal) and
 // cancels its context; in-flight shard attempts abort between fill
 // levels through the Engine's existing cancellation plumbing.
-func (j *Job) Cancel() {
-	j.mu.Lock()
-	if j.status.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	j.status = StatusCancelled
-	j.finished = time.Now()
-	j.finalTrace = j.finishTraceLocked()
-	j.broadcastLocked()
-	mgr := j.manager()
-	j.mu.Unlock()
-	j.cancel()
-	if mgr != nil {
-		mgr.finalize(j, StatusCancelled)
-	}
-}
-
-// manager is a backref for Cancel's finalize; stored lazily to keep Job
-// construction simple.
-func (j *Job) manager() *Manager { return j.mgr }
+func (j *Job) Cancel() { j.mgr.finish(j, StatusCancelled, "") }
 
 // Progress snapshots the job; withShards includes per-shard detail.
 func (j *Job) Progress(withShards bool) Progress {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -116,7 +117,7 @@ func TestJobResultsByteIdenticalToSyncMatchAll(t *testing.T) {
 	// fail exactly one shard's first attempt while the others proceed.
 	s, ts := newTestServer(t, Config{JobShardCost: 1})
 	var fired atomic.Bool
-	s.Jobs().SetFaultInjector(func(_ string, shard, attempt int) error {
+	s.Jobs().SetFaultInjector(func(_ context.Context, _ string, shard, attempt int) error {
 		if shard == 1 && attempt == 1 {
 			fired.Store(true)
 			return errors.New("injected shard fault")
@@ -224,18 +225,21 @@ func TestJobResultsResume(t *testing.T) {
 // abandoned and the stream closes with a cancelled trailer.
 func TestJobCancelMidShardOverHTTP(t *testing.T) {
 	s, ts := newTestServer(t, Config{JobShardCost: 1, JobWorkers: 1})
-	block := make(chan struct{})
-	var once sync.Once
-	s.Jobs().SetFaultInjector(func(_ string, _, _ int) error {
-		<-block // hold the first shard attempt until the test cancels
-		return nil
+	entered := make(chan struct{}, 1)
+	s.Jobs().SetFaultInjector(func(ctx context.Context, _ string, _, _ int) error {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-ctx.Done() // hold the shard attempt until the job is cancelled
+		return ctx.Err()
 	})
-	defer once.Do(func() { close(block) })
 
 	id := submitJob(t, ts.URL, JobSubmitRequest{
 		Sources: []JobSchemaRef{{Schema: &SchemaInput{Data: poSourceXSD}}},
 		Targets: []JobSchemaRef{{Schema: &SchemaInput{Data: poTargetXSD}}},
 	})
+	<-entered // the only shard is genuinely mid-flight
 	delReq, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +256,6 @@ func TestJobCancelMidShardOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || js.Status != "cancelled" {
 		t.Fatalf("cancel: status %d job %s", resp.StatusCode, js.Status)
 	}
-	once.Do(func() { close(block) })
 
 	lines, trailer := streamResults(t, ts.URL, id, 0)
 	if len(lines) != 0 || trailer == nil || trailer.Status != "cancelled" {

@@ -264,7 +264,8 @@ func TestOversizedBody413(t *testing.T) {
 }
 
 // A small schema that expands past the front-ends' node budget is
-// refused with 413, on the inline match path and on a registry PUT alike.
+// refused with 413, on the inline match path and on a registry PUT alike,
+// and so is an inline DDL table with a column per node.
 func TestSchemaTooLarge413(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	bomb, err := os.ReadFile(filepath.Join("..", "xsd", "testdata", "bomb_chained_types.xsd"))
@@ -279,6 +280,19 @@ func TestSchemaTooLarge413(t *testing.T) {
 		PutSchemaRequest{Schema: &SchemaInput{Data: string(bomb)}})
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("PUT: status %d, want 413: %s", resp.StatusCode, body)
+	}
+	var wide strings.Builder
+	wide.WriteString("CREATE TABLE wide (c0 INT")
+	for i := 1; i < 100_000; i++ {
+		fmt.Fprintf(&wide, ", c%d INT", i)
+	}
+	wide.WriteString(");")
+	resp, body = post(t, ts.URL+"/v1/match", MatchRequest{
+		Source: &SchemaInput{Format: "ddl", Data: wide.String()},
+		Target: &SchemaInput{Data: poTargetXSD},
+	})
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "schema too large") {
+		t.Fatalf("/v1/match DDL: status %d, want 413 naming the bound: %s", resp.StatusCode, body)
 	}
 }
 
